@@ -11,9 +11,13 @@
 //     resource-ordering baseline vs up*/down* re-routing,
 //   * steady-state simulator throughput and latency on the
 //     removal-treated design.
-// Rows land in BENCH_topology_families.json (sections "family_point"
-// and "family_summary") for the CI perf gate to diff against
-// bench/baselines/.
+// It also times GenerateStandardDesign itself on two large tori
+// (torus32x32, torus48x48): generation builds and validates an S x S
+// next-hop table, so its cost is the first thing a large request pays.
+// Rows land in BENCH_topology_families.json (sections "family_point",
+// "family_summary" and "generate") for the CI perf gate to diff against
+// bench/baselines/; generate_latency_us is gated one-sided under the
+// *_latency_us rule.
 //
 // Exit code 0 iff every treated design certifies deadlock-free AND the
 // deliberately cyclic rows (torus/ring under uniform traffic) really
@@ -24,8 +28,11 @@
 //                       (default 4 — the baseline-gated density; lower
 //                       values may legitimately fail the must-be-cyclic
 //                       assertion)
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -261,6 +268,30 @@ int main(int argc, char** argv) {
                     .Set("removal_vcs", agg.removal_vcs)
                     .Set("ordering_vcs", agg.ordering_vcs)
                     .Set("removal_ms", agg.removal_ms));
+  }
+
+  // Generation latency: the fastest of a few runs, in microseconds.
+  std::cout << "\n";
+  for (const std::size_t side : {32, 48}) {
+    gen::GeneratorSpec spec;
+    spec.family = gen::TopologyFamily::kTorus2D;
+    spec.width = spec.height = side;
+    spec.uniform_fanout = uniform_fanout;
+    double best_ms = std::numeric_limits<double>::infinity();
+    std::string name;
+    for (int run = 0; run < 3; ++run) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const NocDesign design = gen::GenerateStandardDesign(spec);
+      best_ms = std::min(best_ms, MillisSince(t0));
+      name = design.name;
+    }
+    const auto latency_us = static_cast<std::uint64_t>(best_ms * 1000.0);
+    std::cout << "generate " << name << ": " << latency_us << " us\n";
+    json.AddRow(JsonObject()
+                    .Set("section", "generate")
+                    .Set("design", name)
+                    .Set("switches", side * side)
+                    .Set("generate_latency_us", latency_us));
   }
 
   const std::string path = json.Write();

@@ -14,9 +14,10 @@ void NocDesign::Validate() const {
   Require(attachment.size() == traffic.CoreCount(),
           "Validate: attachment size does not match core count");
   for (std::size_t i = 0; i < attachment.size(); ++i) {
-    Require(topology.IsValidSwitch(attachment[i]),
-            "Validate: core " + std::to_string(i) +
-                " attached to unknown switch");
+    Require(topology.IsValidSwitch(attachment[i]), [&] {
+      return "Validate: core " + std::to_string(i) +
+             " attached to unknown switch";
+    });
   }
   Require(routes.FlowCount() == traffic.FlowCount(),
           "Validate: route set size does not match flow count");

@@ -113,9 +113,10 @@ gen::GeneratorSpec ParseGenerator(const JsonValue& json) {
   gen::GeneratorSpec spec;
   const std::string family_name = json.At("family").AsString();
   const auto family = gen::ParseFamily(family_name);
-  Require(family.has_value(),
-          "ParseRequestLine: unknown generator family \"" + family_name +
-              "\"");
+  Require(family.has_value(), [&] {
+    return "ParseRequestLine: unknown generator family \"" + family_name +
+           "\"";
+  });
   spec.family = *family;
   const auto size_field = [&](const char* key, std::size_t* target) {
     if (const JsonValue* value = json.Find(key)) {
@@ -133,9 +134,10 @@ gen::GeneratorSpec ParseGenerator(const JsonValue& json) {
   if (const JsonValue* value = json.Find("pattern")) {
     const std::string pattern_name = value->AsString();
     const auto pattern = gen::ParsePattern(pattern_name);
-    Require(pattern.has_value(),
-            "ParseRequestLine: unknown traffic pattern \"" + pattern_name +
-                "\"");
+    Require(pattern.has_value(), [&] {
+      return "ParseRequestLine: unknown traffic pattern \"" + pattern_name +
+             "\"";
+    });
     spec.pattern = *pattern;
   }
   if (const JsonValue* value = json.Find("hotspot_fraction")) {
@@ -215,8 +217,10 @@ void ParseDesignSpec(const JsonValue& json, DesignSpec& spec) {
     spec.kind = RequestKind::kSourceSeed;
     const std::string source_name = value->AsString();
     const auto source = valid::ParseSource(source_name);
-    Require(source.has_value(), "ParseRequestLine: unknown design source \"" +
-                                    source_name + "\"");
+    Require(source.has_value(), [&] {
+      return "ParseRequestLine: unknown design source \"" + source_name +
+             "\"";
+    });
     spec.source = *source;
     spec.seed = json.At("seed").AsUint();
     ++source_fields;
@@ -801,7 +805,9 @@ std::string MetricsTextFromJson(const std::string& response_line,
     std::string text;
     const JsonValue& provenance = json.At("provenance");
     text += prefix + "build " + provenance.At("git_sha").AsString() + " (" +
-            provenance.At("compiler").AsString() + ")\n";
+            provenance.At("compiler").AsString() + ", " +
+            std::to_string(provenance.At("effective_cpu_count").AsUint()) +
+            " effective CPUs)\n";
     for (const auto& [name, value] : json.At("counters").Members()) {
       text += prefix + "counter " + name + " = " +
               std::to_string(value.AsUint()) + "\n";

@@ -86,9 +86,10 @@ RouteSet BuildRoutes(const TopologyGraph& topology,
         }
       }
     }
-    Require(dist[dst.value()] != kInf,
-            "BuildRoutes: no path between switches of flow " +
-                std::to_string(fi));
+    Require(dist[dst.value()] != kInf, [&] {
+      return "BuildRoutes: no path between switches of flow " +
+             std::to_string(fi);
+    });
 
     // Walk back along `via`, emitting the VC-0 channel of each link.
     Route route;
@@ -111,43 +112,63 @@ void ValidateNextHopTable(const TopologyGraph& topology,
   const std::size_t n = topology.SwitchCount();
   Require(table.size() == n, "NextHopTable: row count != switch count");
   for (std::size_t s = 0; s < n; ++s) {
-    Require(table[s].size() == n,
-            "NextHopTable: row " + std::to_string(s) +
-                " column count != switch count");
+    Require(table[s].size() == n, [&] {
+      return "NextHopTable: row " + std::to_string(s) +
+             " column count != switch count";
+    });
     for (std::size_t d = 0; d < n; ++d) {
       const LinkId l = table[s][d];
       if (!l.valid()) {
         continue;
       }
-      Require(s != d, "NextHopTable: self entry on switch " +
-                          std::to_string(s));
-      Require(topology.IsValidLink(l),
-              "NextHopTable: invalid link on (" + std::to_string(s) + "," +
-                  std::to_string(d) + ")");
-      Require(topology.LinkAt(l).src == SwitchId(s),
-              "NextHopTable: link on (" + std::to_string(s) + "," +
-                  std::to_string(d) + ") does not leave switch " +
-                  std::to_string(s));
+      Require(s != d, [&] {
+        return "NextHopTable: self entry on switch " + std::to_string(s);
+      });
+      Require(topology.IsValidLink(l), [&] {
+        return "NextHopTable: invalid link on (" + std::to_string(s) + "," +
+               std::to_string(d) + ")";
+      });
+      Require(topology.LinkAt(l).src == SwitchId(s), [&] {
+        return "NextHopTable: link on (" + std::to_string(s) + "," +
+               std::to_string(d) + ") does not leave switch " +
+               std::to_string(s);
+      });
     }
   }
   // Every filled pair must reach its destination without revisiting a
-  // switch; a walk longer than n switches is a loop by pigeonhole.
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t d = 0; d < n; ++d) {
-      if (s == d || !table[s][d].valid()) {
+  // switch. Per destination the table is a functional graph, so one
+  // memoized walk suffices: each switch is unvisited, on the chain being
+  // walked (meeting it again is a loop), or known to reach d. Every
+  // switch joins one chain per destination, so the pass is O(S^2).
+  enum : std::uint8_t { kUnvisited, kOnChain, kReaches };
+  std::vector<std::uint8_t> state(n);
+  std::vector<std::size_t> chain;
+  for (std::size_t d = 0; d < n; ++d) {
+    std::fill(state.begin(), state.end(), kUnvisited);
+    state[d] = kReaches;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (state[s] != kUnvisited || !table[s][d].valid()) {
         continue;
       }
+      chain.clear();
       std::size_t cur = s;
-      std::size_t hops = 0;
-      while (cur != d) {
+      while (state[cur] == kUnvisited) {
+        state[cur] = kOnChain;
+        chain.push_back(cur);
         const LinkId l = table[cur][d];
-        Require(l.valid(), "NextHopTable: hole at (" + std::to_string(cur) +
-                               "," + std::to_string(d) +
-                               ") on the walk from " + std::to_string(s));
+        Require(l.valid(), [&] {
+          return "NextHopTable: hole at (" + std::to_string(cur) + "," +
+                 std::to_string(d) + ") on the walk from " +
+                 std::to_string(s);
+        });
         cur = topology.LinkAt(l).dst.value();
-        Require(++hops <= n, "NextHopTable: routing loop from " +
-                                 std::to_string(s) + " to " +
-                                 std::to_string(d));
+      }
+      Require(state[cur] == kReaches, [&] {
+        return "NextHopTable: routing loop from " + std::to_string(s) +
+               " to " + std::to_string(d);
+      });
+      for (const std::size_t v : chain) {
+        state[v] = kReaches;
       }
     }
   }
@@ -169,9 +190,10 @@ std::optional<Route> WalkTableRoute(const TopologyGraph& topology,
       return std::nullopt;  // hole: this pair needs the rip-up fallback
     }
     const LinkId l = row[dst.value()];
-    Require(topology.IsValidLink(l) && topology.LinkAt(l).src == cur,
-            "WalkTableRoute: table entry does not leave switch " +
-                std::to_string(cur.value()));
+    Require(topology.IsValidLink(l) && topology.LinkAt(l).src == cur, [&] {
+      return "WalkTableRoute: table entry does not leave switch " +
+             std::to_string(cur.value());
+    });
     const auto channel = topology.FindChannel(l, 0);
     Require(channel.has_value(), "WalkTableRoute: link missing VC 0");
     route.push_back(*channel);
@@ -230,8 +252,9 @@ std::size_t PatchNextHopTable(const TopologyGraph& topology,
       std::numeric_limits<std::uint32_t>::max();
 
   for (std::size_t d = 0; d < n; ++d) {
-    Require(table[d].size() == n, "PatchNextHopTable: malformed row " +
-                                      std::to_string(d));
+    Require(table[d].size() == n, [&] {
+      return "PatchNextHopTable: malformed row " + std::to_string(d);
+    });
     if (SwitchDown(SwitchId(d), failed_switches)) {
       // Nothing can route to a dead switch; drop every entry toward it.
       for (std::size_t s = 0; s < n; ++s) {
@@ -370,8 +393,10 @@ void RerouteFlows(NocDesign& design, const std::vector<FlowId>& flows,
     const SwitchId dst = design.attachment[flow.dst.value()];
     Require(!SwitchDown(src, failed_switches) &&
                 !SwitchDown(dst, failed_switches),
-            "RerouteFlows: endpoint switch of flow " +
-                std::to_string(f.value()) + " has failed");
+            [&] {
+              return "RerouteFlows: endpoint switch of flow " +
+                     std::to_string(f.value()) + " has failed";
+            });
     if (src == dst) {
       design.routes.SetRoute(f, {});
       continue;
@@ -409,9 +434,10 @@ void RerouteFlows(NocDesign& design, const std::vector<FlowId>& flows,
         }
       }
     }
-    Require(dist[dst.value()] != kInf,
-            "RerouteFlows: no surviving path for flow " +
-                std::to_string(f.value()));
+    Require(dist[dst.value()] != kInf, [&] {
+      return "RerouteFlows: no surviving path for flow " +
+             std::to_string(f.value());
+    });
     Route route;
     for (SwitchId cur = dst; cur != src;) {
       const LinkId l = via[cur.value()];
@@ -444,24 +470,29 @@ RouteSet BuildTableRoutes(const TopologyGraph& topology,
     Route route;
     SwitchId cur = src;
     while (cur != dst) {
-      Require(table[cur.value()].size() == n,
-              "BuildTableRoutes: malformed table row " +
-                  std::to_string(cur.value()));
+      Require(table[cur.value()].size() == n, [&] {
+        return "BuildTableRoutes: malformed table row " +
+               std::to_string(cur.value());
+      });
       const LinkId l = table[cur.value()][dst.value()];
-      Require(l.valid(), "BuildTableRoutes: no next hop from switch " +
-                             std::to_string(cur.value()) + " to switch " +
-                             std::to_string(dst.value()) + " for flow " +
-                             std::to_string(fi));
-      Require(topology.IsValidLink(l) &&
-                  topology.LinkAt(l).src == cur,
-              "BuildTableRoutes: table entry does not leave switch " +
-                  std::to_string(cur.value()));
+      Require(l.valid(), [&] {
+        return "BuildTableRoutes: no next hop from switch " +
+               std::to_string(cur.value()) + " to switch " +
+               std::to_string(dst.value()) + " for flow " +
+               std::to_string(fi);
+      });
+      Require(topology.IsValidLink(l) && topology.LinkAt(l).src == cur, [&] {
+        return "BuildTableRoutes: table entry does not leave switch " +
+               std::to_string(cur.value());
+      });
       const auto channel = topology.FindChannel(l, 0);
       Require(channel.has_value(), "BuildTableRoutes: link missing VC 0");
       route.push_back(*channel);
       cur = topology.LinkAt(l).dst;
-      Require(route.size() <= n, "BuildTableRoutes: routing loop for flow " +
-                                     std::to_string(fi));
+      Require(route.size() <= n, [&] {
+        return "BuildTableRoutes: routing loop for flow " +
+               std::to_string(fi);
+      });
     }
     routes.SetRoute(f, std::move(route));
   }

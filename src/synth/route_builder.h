@@ -50,7 +50,11 @@ using NextHopTable = std::vector<std::vector<LinkId>>;
 /// and that following the table from any switch reaches any destination
 /// with a filled row without revisiting a switch (i.e. the table is
 /// complete and loop-free for every reachable pair). Throws
-/// InvalidModelError on the first violation.
+/// InvalidModelError on the first violation, naming the offending pair.
+/// Loop-freedom is checked with one memoized walk per destination: a
+/// switch is unvisited, on the chain being walked, or known to reach the
+/// destination, and each switch is walked once per destination, so the
+/// whole check is O(S^2) rather than O(S^2 * diameter).
 void ValidateNextHopTable(const TopologyGraph& topology,
                           const NextHopTable& table);
 

@@ -53,7 +53,9 @@ Repro ReproFromJson(const std::string& json) {
   repro.trial_index = value.At("trial").AsUint();
   const std::string arm_name = value.At("arm").AsString();
   const auto arm = ParseArm(arm_name);
-  Require(arm.has_value(), "ReproFromJson: unknown arm \"" + arm_name + "\"");
+  Require(arm.has_value(), [&] {
+    return "ReproFromJson: unknown arm \"" + arm_name + "\"";
+  });
   repro.arm = *arm;
   repro.seed = value.At("seed").AsUint();
   repro.mismatch = value.At("mismatch").AsString();

@@ -5,11 +5,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
 #include "deadlock/removal.h"
 #include "gen/generators.h"
-#include "noc/io.h"
+#include "util/canonical.h"
+#include "util/digest.h"
 #include "util/error.h"
 
 namespace nocdr {
@@ -18,13 +18,6 @@ namespace {
 using gen::GeneratorSpec;
 using gen::TopologyFamily;
 using gen::TrafficPattern;
-
-/// Canonical byte representation for determinism checks.
-std::string DesignText(const NocDesign& design) {
-  std::ostringstream os;
-  WriteDesign(os, design);
-  return os.str();
-}
 
 std::size_t ManhattanMesh(std::size_t a, std::size_t b, std::size_t w) {
   const auto dist = [](std::size_t p, std::size_t q) {
@@ -292,6 +285,52 @@ TEST(GeneratorDeterminismTest, SameSpecSameBytes) {
     spec.seed = 78;
     const NocDesign c = gen::GenerateStandardDesign(spec);
     EXPECT_NE(DesignText(a), DesignText(c)) << gen::FamilyName(family);
+  }
+}
+
+TEST(GeneratorDeterminismTest, DesignTextDigestsArePinned) {
+  // FNV-1a digests of DesignText, one or two per family. A change means
+  // the generated designs, or the ids of their links, changed. Both fat
+  // trees have parallel links (2 and 3 uplinks).
+  struct Pinned {
+    GeneratorSpec spec;
+    std::uint64_t digest;
+  };
+  std::vector<Pinned> pinned(5);
+  pinned[0].spec.family = TopologyFamily::kMesh2D;
+  pinned[0].spec.width = 6;
+  pinned[0].spec.height = 5;
+  pinned[0].spec.seed = 3;
+  pinned[0].digest = 0x6d7e833f207d8f9eull;
+  pinned[1].spec.family = TopologyFamily::kTorus2D;
+  pinned[1].spec.width = 7;
+  pinned[1].spec.height = 6;
+  pinned[1].spec.pattern = TrafficPattern::kHotspot;
+  pinned[1].spec.seed = 5;
+  pinned[1].digest = 0x2471eebfa6d22a5dull;
+  pinned[2].spec.family = TopologyFamily::kRing;
+  pinned[2].spec.ring_nodes = 20;
+  pinned[2].spec.pattern = TrafficPattern::kTranspose;
+  pinned[2].spec.seed = 7;
+  pinned[2].digest = 0xbce52a78ef6c9b96ull;
+  pinned[3].spec.family = TopologyFamily::kFatTree;
+  pinned[3].spec.tree_arity = 3;
+  pinned[3].spec.tree_levels = 3;
+  pinned[3].spec.tree_uplinks = 2;
+  pinned[3].spec.pattern = TrafficPattern::kNeighbor;
+  pinned[3].spec.seed = 4;
+  pinned[3].digest = 0xadef2eeb093e99c9ull;
+  pinned[4].spec.family = TopologyFamily::kFatTree;
+  pinned[4].spec.tree_arity = 2;
+  pinned[4].spec.tree_levels = 4;
+  pinned[4].spec.tree_uplinks = 3;
+  pinned[4].spec.seed = 5;
+  pinned[4].digest = 0x8161d2671c5154f6ull;
+  for (const Pinned& p : pinned) {
+    const NocDesign design = gen::GenerateStandardDesign(p.spec);
+    std::uint64_t digest = kFnvOffsetBasis;
+    DigestField(digest, DesignText(design));
+    EXPECT_EQ(digest, p.digest) << design.name;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/build_info.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -115,6 +116,18 @@ TEST(JsonParseTest, TypeMismatchesThrow) {
   EXPECT_EQ(v.At("n").AsInt(), -1);
 }
 
+TEST(BuildInfoTest, EffectiveCpuCountIsAffinityCappedByQuota) {
+  EXPECT_GE(GetBuildInfo().effective_cpu_count, 1u);
+  // cgroup v2 cpu.max: "<quota> <period>" in microseconds, or "max".
+  EXPECT_EQ(CapCpusByQuota(4, "max 100000"), 4u);
+  EXPECT_EQ(CapCpusByQuota(4, "100000 100000"), 1u);
+  EXPECT_EQ(CapCpusByQuota(4, "150000 100000"), 2u);  // 1.5 CPUs of time
+  EXPECT_EQ(CapCpusByQuota(4, "50000 100000"), 1u);
+  EXPECT_EQ(CapCpusByQuota(2, "800000 100000"), 2u);  // affinity is lower
+  EXPECT_EQ(CapCpusByQuota(3, ""), 3u);
+  EXPECT_EQ(CapCpusByQuota(3, "garbage"), 3u);
+}
+
 TEST(BenchJsonWriterTest, WritesProvenanceHeaderThenOneRowPerLine) {
   BenchJsonWriter writer("jsontest_tmp");
   writer.AddRow(JsonObject().Set("a", std::size_t{1}));
@@ -133,6 +146,7 @@ TEST(BenchJsonWriterTest, WritesProvenanceHeaderThenOneRowPerLine) {
   EXPECT_TRUE(header.At("provenance").AsBool());
   EXPECT_FALSE(header.At("git_sha").AsString().empty());
   EXPECT_FALSE(header.At("compiler").AsString().empty());
+  EXPECT_GE(header.At("effective_cpu_count").AsUint(), 1u);
   EXPECT_EQ(header.At("bench").AsString(), "jsontest_tmp");
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "{\"a\":1,\"bench\":\"jsontest_tmp\"}");

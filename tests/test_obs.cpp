@@ -365,6 +365,7 @@ TEST(MetricsProtocolTest, ResponseCarriesRegistrySnapshotAndProvenance) {
   EXPECT_EQ(json.At("status").AsString(), "ok");
   EXPECT_EQ(json.At("provenance").kind(), JsonValue::Kind::kObject);
   EXPECT_FALSE(json.At("provenance").At("git_sha").AsString().empty());
+  EXPECT_GE(json.At("provenance").At("effective_cpu_count").AsUint(), 1u);
   EXPECT_EQ(json.At("counters").At("hits").AsUint(), 7u);
   EXPECT_EQ(json.At("gauges").At("depth").AsInt(), -2);
   const JsonValue& req_us = json.At("histograms").At("req_us");

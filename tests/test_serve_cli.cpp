@@ -145,6 +145,7 @@ TEST_F(ServeCliTest, VersionPrintsProvenanceAndExitsZero) {
   const std::string text = ReadFile(out);
   EXPECT_EQ(text.rfind("nocdr_serve ", 0), 0u) << text;
   EXPECT_NE(text.find("("), std::string::npos) << text;
+  EXPECT_NE(text.find(" effective CPUs)"), std::string::npos) << text;
 }
 
 TEST_F(ServeCliTest, TraceBytesIdenticalAcrossThreadCountsAndRuns) {

@@ -60,7 +60,7 @@
 //                     logical (default) = byte-deterministic tick
 //                     counts; wall = real microseconds
 //   --version         print build provenance (git sha, compiler,
-//                     build type) and exit
+//                     build type, effective CPU count) and exit
 //
 // Stateless requests are batched so duplicates coalesce; a session
 // message flushes the pending batch first (responses stay in request
