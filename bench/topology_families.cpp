@@ -14,10 +14,13 @@
 // It also times GenerateStandardDesign itself on two large tori
 // (torus32x32, torus48x48): generation builds and validates an S x S
 // next-hop table, so its cost is the first thing a large request pays.
+// And it times CanonicalizeDesign (torus24x24, mesh16x16), the text
+// round trip behind every cache key, which a miss pays next.
 // Rows land in BENCH_topology_families.json (sections "family_point",
-// "family_summary" and "generate") for the CI perf gate to diff against
-// bench/baselines/; generate_latency_us is gated one-sided under the
-// *_latency_us rule.
+// "family_summary", "generate" and "codec") for the CI perf gate to diff
+// against bench/baselines/; generate_latency_us and
+// canonicalize_latency_us are gated one-sided under the *_latency_us
+// rule.
 //
 // Exit code 0 iff every treated design certifies deadlock-free AND the
 // deliberately cyclic rows (torus/ring under uniform traffic) really
@@ -34,12 +37,14 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "deadlock/updown.h"
 #include "gen/generators.h"
 #include "sim/simulator.h"
+#include "util/canonical.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -292,6 +297,32 @@ int main(int argc, char** argv) {
                     .Set("design", name)
                     .Set("switches", side * side)
                     .Set("generate_latency_us", latency_us));
+  }
+
+  // Canonicalization latency: the text round trip that forms every
+  // cache key (flow sort, render, parse back, re-render), fastest of 3.
+  for (const auto& [family, side] :
+       {std::pair{gen::TopologyFamily::kTorus2D, std::size_t{24}},
+        std::pair{gen::TopologyFamily::kMesh2D, std::size_t{16}}}) {
+    gen::GeneratorSpec spec;
+    spec.family = family;
+    spec.width = spec.height = side;
+    spec.uniform_fanout = uniform_fanout;
+    const NocDesign design = gen::GenerateStandardDesign(spec);
+    double best_ms = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < 3; ++run) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const CanonicalDesign canonical = CanonicalizeDesign(design);
+      best_ms = std::min(best_ms, MillisSince(t0));
+    }
+    const auto latency_us = static_cast<std::uint64_t>(best_ms * 1000.0);
+    std::cout << "canonicalize " << design.name << ": " << latency_us
+              << " us\n";
+    json.AddRow(JsonObject()
+                    .Set("section", "codec")
+                    .Set("design", design.name)
+                    .Set("switches", side * side)
+                    .Set("canonicalize_latency_us", latency_us));
   }
 
   const std::string path = json.Write();

@@ -14,10 +14,21 @@
 //
 // '#' starts a comment; blank lines are ignored. Every flow must receive
 // exactly one route line (possibly with zero hops).
+//
+// The codec works on plain strings: AppendDesignText renders with
+// std::to_chars into one buffer, and ReadDesign(std::string_view) is the
+// one parser, scanning tokens as views into its input. The std::ostream
+// and std::istream forms are adapters over these two. The reader keeps
+// the token rules of the `std::istream >>` parser it replaced: a
+// trailing token is ignored, a number may be followed by junk in the
+// same token ("5abc" reads 5), `link a b x` has one VC, and a bandwidth
+// must be a finite decimal ("nan", "inf" and "1e400" are rejected). A
+// negative VC count and a VC index beyond uint32_t are errors.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "noc/design.h"
 
@@ -29,12 +40,19 @@ class DesignParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes \p design in the text format above (stable, diff-friendly).
+/// Appends \p design in the text format above (stable, diff-friendly)
+/// to \p out. Bandwidths keep six significant digits.
+void AppendDesignText(std::string& out, const NocDesign& design);
+
+/// AppendDesignText to a stream.
 void WriteDesign(std::ostream& os, const NocDesign& design);
 
-/// Parses a design written by WriteDesign (or by hand). The result is
-/// fully validated. Throws DesignParseError with line information on
+/// Parses a design written by AppendDesignText (or by hand). The result
+/// is fully validated. Throws DesignParseError with line information on
 /// malformed input, InvalidModelError on structurally bad designs.
+NocDesign ReadDesign(std::string_view text);
+
+/// ReadDesign of the rest of \p is.
 NocDesign ReadDesign(std::istream& is);
 
 /// Graphviz (dot) rendering of the switch topology: switches as nodes,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -207,9 +206,11 @@ bool ReadyQueue::Push(const Job& job) {
       entry.key1 = Mix(seed_ ^ job.seq);
       break;
     case Discipline::kPriority:
+      // rank - INT64_MIN without the signed overflow: flipping the sign
+      // bit maps int64 order onto uint64 order.
       entry.key0 = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(job.rank) -
-          std::numeric_limits<std::int64_t>::min());
+                       static_cast<std::int64_t>(job.rank)) ^
+                   (std::uint64_t{1} << 63);
       entry.key1 = job.seq;
       break;
   }

@@ -3,7 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <functional>
+#include <string_view>
 #include <utility>
 
 #include "deadlock/verify.h"
@@ -14,6 +15,7 @@
 #include "util/canonical.h"
 #include "util/digest.h"
 #include "util/error.h"
+#include "util/text.h"
 
 namespace nocdr::serve {
 
@@ -91,18 +93,23 @@ std::string KeyTraceId(std::uint64_t key) {
   return buf;
 }
 
-/// Encoding of every semantically relevant option (the fields
-/// CanonicalDesignDigest covers); appended to both cache key texts.
-std::string OptionsKeySuffix(const CertRequest& request) {
-  return "#options cycle=" +
-         std::to_string(static_cast<int>(request.options.cycle_policy)) +
-         " direction=" +
-         std::to_string(static_cast<int>(request.options.direction_policy)) +
-         " duplication=" +
-         std::to_string(static_cast<int>(request.options.duplication)) +
-         " max_iterations=" +
-         std::to_string(request.options.max_iterations) +
-         " treat=" + (request.treat ? "1" : "0");
+/// Room to reserve for AppendOptionsKey, whose output is at most 86
+/// bytes.
+constexpr std::size_t kOptionsKeyBytes = 96;
+
+/// Appends an encoding of every semantically relevant option (the
+/// fields CanonicalDesignDigest covers); it ends both cache key texts.
+void AppendOptionsKey(std::string& out, const CertRequest& request) {
+  out += "#options cycle=";
+  AppendUnsigned(out, static_cast<std::uint64_t>(request.options.cycle_policy));
+  out += " direction=";
+  AppendUnsigned(out,
+                static_cast<std::uint64_t>(request.options.direction_policy));
+  out += " duplication=";
+  AppendUnsigned(out, static_cast<std::uint64_t>(request.options.duplication));
+  out += " max_iterations=";
+  AppendUnsigned(out, request.options.max_iterations);
+  out += request.treat ? " treat=1" : " treat=0";
 }
 
 /// Full collision-proof cache key: the canonical design text plus an
@@ -111,18 +118,22 @@ std::string OptionsKeySuffix(const CertRequest& request) {
 /// digest collision can only ever degrade to a miss.
 std::string CacheKeyText(const std::string& canonical_text,
                          const CertRequest& request) {
-  return canonical_text + OptionsKeySuffix(request);
+  std::string key;
+  key.reserve(canonical_text.size() + kOptionsKeyBytes);
+  key = canonical_text;
+  AppendOptionsKey(key, request);
+  return key;
 }
 
-/// Renders the exact bit pattern of \p value — injective, unlike any
+/// The exact bit pattern of \p value — injective, unlike any
 /// fixed-precision decimal rendering (two specs differing in the last
 /// ulp must not collide in the front memo: a fingerprint collision
 /// would serve the wrong certificate).
-std::string DoubleBits(double value) {
+std::uint64_t DoubleBits(double value) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
-  return std::to_string(bits);
+  return bits;
 }
 
 /// Exact-bytes identity of a request for the front memo: the raw design
@@ -135,36 +146,45 @@ std::string FingerprintText(const CertRequest& request) {
   std::string fp;
   switch (request.kind) {
     case RequestKind::kDesignText:
-      fp = "design\x1f" + request.design_text;
+      fp.reserve(request.design_text.size() + 8 + kOptionsKeyBytes);
+      fp = "design\x1f";
+      fp += request.design_text;
       break;
     case RequestKind::kGeneratorSpec: {
       const gen::GeneratorSpec& g = request.generator;
-      fp = "generator\x1f" + std::to_string(static_cast<int>(g.family)) +
-           " " + std::to_string(g.width) + " " + std::to_string(g.height) +
-           " " + std::to_string(g.ring_nodes) + " " +
-           std::to_string(g.tree_arity) + " " +
-           std::to_string(g.tree_levels) + " " +
-           std::to_string(g.tree_uplinks) + " " +
-           std::to_string(g.cores_per_switch) + " " +
-           std::to_string(static_cast<int>(g.pattern)) + " " +
-           std::to_string(g.uniform_fanout) + " " +
-           DoubleBits(g.hotspot_fraction) + " " +
-           DoubleBits(g.min_bandwidth) + " " + DoubleBits(g.max_bandwidth) +
-           " " + std::to_string(g.seed);
+      fp = "generator\x1f";
+      AppendUnsigned(fp, static_cast<std::uint64_t>(g.family));
+      for (const std::uint64_t field :
+           {std::uint64_t{g.width}, std::uint64_t{g.height},
+            std::uint64_t{g.ring_nodes}, std::uint64_t{g.tree_arity},
+            std::uint64_t{g.tree_levels}, std::uint64_t{g.tree_uplinks},
+            std::uint64_t{g.cores_per_switch},
+            static_cast<std::uint64_t>(g.pattern),
+            std::uint64_t{g.uniform_fanout}, DoubleBits(g.hotspot_fraction),
+            DoubleBits(g.min_bandwidth), DoubleBits(g.max_bandwidth),
+            g.seed}) {
+        fp += ' ';
+        AppendUnsigned(fp, field);
+      }
       break;
     }
     case RequestKind::kSourceSeed:
-      fp = "source\x1f" + valid::SourceName(request.source) + " " +
-           std::to_string(request.seed);
+      fp = "source\x1f";
+      fp += valid::SourceName(request.source);
+      fp += ' ';
+      AppendUnsigned(fp, request.seed);
       break;
   }
-  return fp + OptionsKeySuffix(request);
+  AppendOptionsKey(fp, request);
+  return fp;
 }
 
+/// Keys only the in-memory front memo, where a collision degrades to a
+/// miss (the full fingerprint is compared), so it is a word-at-a-time
+/// hash rather than the byte-wise FNV-1a of the protocol-visible
+/// canonical key. Nothing persists it.
 std::uint64_t FingerprintDigest(const std::string& fingerprint) {
-  std::uint64_t h = kFnvOffsetBasis;
-  DigestField(h, fingerprint);
-  return h;
+  return std::hash<std::string_view>{}(fingerprint);
 }
 
 ErrorInfo MakeError(ErrorCode code, std::string message) {
@@ -242,8 +262,7 @@ NocDesign MaterializeDesign(const DesignSpec& spec,
       if (table_out != nullptr) {
         table_out->clear();
       }
-      std::istringstream in(spec.design_text);
-      return ReadDesign(in);
+      return ReadDesign(spec.design_text);
     }
     case RequestKind::kGeneratorSpec:
       return gen::GenerateStandardDesign(spec.generator, table_out);
@@ -350,7 +369,8 @@ CertResponse CertificationService::Serve(const CertRequest& request) {
   // byte-identical-traces contract. Timing lives in the metrics
   // histograms below.
   obs::ScopedTrace trace(config_.trace, request.trace_id, "request");
-  const CertResponse response =
+  // Not const: the return below moves it instead of copying the payload.
+  CertResponse response =
       Guarded(request, [&] { return ServeInner(request); });
   RecordRequestMetrics(response);
   if (trace.active()) {
@@ -392,7 +412,7 @@ CertResponse CertificationService::ServeInner(const CertRequest& request) {
 
   // Front fast path: an exact repeat of a request already resolved maps
   // straight to its canonical cache entry — no materialization, no
-  // canonicalization. An FNV pass over the raw bytes plus two hash
+  // canonicalization. One hash pass over the raw bytes plus two hash
   // lookups; this is what a warm hit costs.
   std::string fingerprint;
   std::uint64_t fingerprint_digest = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 #include <vector>
 
 #include "noc/io.h"
@@ -71,14 +70,13 @@ NocDesign SortFlows(const NocDesign& design) {
 }  // namespace
 
 std::string DesignText(const NocDesign& design) {
-  std::ostringstream out;
-  WriteDesign(out, design);
-  return out.str();
+  std::string text;
+  AppendDesignText(text, design);
+  return text;
 }
 
 NocDesign IoCanonicalize(const NocDesign& design) {
-  std::istringstream in(DesignText(design));
-  return ReadDesign(in);
+  return ReadDesign(DesignText(design));
 }
 
 bool IsIoStable(const NocDesign& design) {
@@ -93,14 +91,15 @@ CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
   // therefore the same digest). One trip suffices in practice — the
   // format stores link:vc pairs, not channel ids — the loop guards
   // against io drift rather than doing expected work.
+  std::string reparsed;
   for (int round = 0; round < 4; ++round) {
-    std::istringstream in(out.text);
-    out.design = ReadDesign(in);
-    const std::string reparsed = DesignText(out.design);
+    out.design = ReadDesign(out.text);
+    reparsed.clear();
+    AppendDesignText(reparsed, out.design);
     if (reparsed == out.text) {
       return out;
     }
-    out.text = reparsed;
+    out.text.swap(reparsed);
   }
   throw InvalidModelError(
       "CanonicalizeDesign: text rendering did not reach a round-trip "

@@ -1,7 +1,5 @@
 #include "valid/repro.h"
 
-#include <sstream>
-
 #include "noc/io.h"
 #include "util/canonical.h"
 #include "util/error.h"
@@ -71,8 +69,7 @@ Repro ReproFromJson(const std::string& json) {
   repro.workload.stall_threshold = value.At("stall_threshold").AsUint();
   repro.workload.max_escalations = value.At("max_escalations").AsUint();
   repro.workload.engine = ParseEngine(value.At("engine").AsString());
-  std::istringstream design_text(value.At("design").AsString());
-  repro.design = ReadDesign(design_text);
+  repro.design = ReadDesign(value.At("design").AsString());
   return repro;
 }
 

@@ -30,8 +30,8 @@ struct Repro {
   bool io_stable = true;
 };
 
-/// Serializes \p repro as one JSON object (design embedded via
-/// WriteDesign).
+/// Serializes \p repro as one JSON object (design embedded as its
+/// DesignText).
 std::string ReproToJson(const Repro& repro);
 
 /// Parses a dump written by ReproToJson; throws InvalidModelError /

@@ -137,6 +137,30 @@ TEST(IoTest, ParseErrorsCarryLineNumbers) {
                "bad flow index");
 }
 
+TEST(IoTest, NegativeVcCountIsRejected) {
+  // 38 bytes that once asked for SIZE_MAX channels.
+  const std::string text = "noc x\nswitch a\nswitch b\nlink a b -1\n";
+  try {
+    ReadDesign(text);
+    FAIL() << "expected DesignParseError";
+  } catch (const DesignParseError& e) {
+    EXPECT_STREQ(e.what(), "line 4: link: vc count must be >= 1");
+  }
+}
+
+TEST(IoTest, HopVcBeyondUint32IsMalformed) {
+  // Once wrapped silently onto vc 0.
+  const std::string text =
+      "noc t\nswitch A\nswitch B\nlink A B\ncore x A\ncore y B\n"
+      "flow x y 1\nroute 0 0:4294967296\n";
+  try {
+    ReadDesign(text);
+    FAIL() << "expected DesignParseError";
+  } catch (const DesignParseError& e) {
+    EXPECT_STREQ(e.what(), "line 8: route: malformed hop '0:4294967296'");
+  }
+}
+
 TEST(IoTest, MissingRouteIsAnError) {
   const std::string text =
       "noc t\nswitch A\nswitch B\nlink A B\ncore x A\ncore y B\n"
