@@ -1,5 +1,5 @@
 // Extension experiment E9 — latency vs. offered load in simulation,
-// plus the event-engine speedup gate.
+// plus the engine speedup gates at light and at saturating load.
 //
 // Part 1 is classic NoC evaluation the paper's venue expects around its
 // method: after deadlock handling, how does the network behave under
@@ -19,10 +19,18 @@
 // Rows land in BENCH_sim_latency_curve.json (section
 // "event_engine_speedup") for the tools/bench_compare.py perf gate.
 //
+// Part 3 measures the other end of the load range: a treated torus
+// 12x12 far above saturation, where most heads are blocked. The worklist
+// engine parks blocked heads and injections, so a saturated cycle costs
+// only the flits that can move, while the full-scan reference retries
+// every blocked claim. The fullscan/worklist wall-clock ratio is gated
+// as "saturated_engine_speedup" (the perf gate's 40% speedup floor, no
+// wall-clock bound), together with the exact delivered counts.
+//
 // Flags:
 //   --repeats N    best-of-N wall clock per engine point (default 3)
-//   --no-speedup   latency curve only: skip part 2 and write no BENCH
-//                  rows (quick local iteration; not for gated runs)
+//   --no-speedup   latency curve only: skip parts 2 and 3 and write no
+//                  BENCH rows (quick local iteration; not for gated runs)
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -151,6 +159,73 @@ double MeasureEventEngineSpeedup(BenchJsonWriter& json,
   return min_speedup;
 }
 
+/// Bernoulli traffic far above saturation on a treated torus 12x12:
+/// full-scan vs worklist, on one shared schedule, with identical
+/// results required. Returns false on an engine disagreement.
+bool MeasureSaturatedEngineSpeedup(BenchJsonWriter& json,
+                                   std::size_t repeats) {
+  std::cout << "\n=== worklist vs full scan, treated torus 12x12 above "
+               "saturation ===\n\n";
+  gen::GeneratorSpec spec;
+  spec.family = gen::TopologyFamily::kTorus2D;
+  spec.width = 12;
+  spec.height = 12;
+  spec.seed = 1;
+  NocDesign design = gen::GenerateStandardDesign(spec);
+  RemoveDeadlocks(design);
+
+  SimConfig cfg;
+  cfg.traffic.mode = InjectionMode::kBernoulli;
+  cfg.traffic.reference_injection_rate = 0.1;
+  cfg.traffic.packet_length = 5;
+  cfg.traffic.seed = 7;
+  cfg.buffer_depth = 4;
+  cfg.max_cycles = 2000;
+  const TrafficSchedule schedule(design, cfg.traffic, cfg.max_cycles);
+  SimResult fullscan_result, worklist_result;
+  const double fullscan_ms = TimeEngine(design, cfg, schedule,
+                                        SimEngine::kFullScan, repeats,
+                                        &fullscan_result);
+  const double worklist_ms = TimeEngine(design, cfg, schedule,
+                                        SimEngine::kWorklist, repeats,
+                                        &worklist_result);
+  if (fullscan_result.deadlocked || worklist_result.deadlocked ||
+      fullscan_result.cycles != worklist_result.cycles ||
+      fullscan_result.packets_delivered !=
+          worklist_result.packets_delivered ||
+      fullscan_result.flits_delivered != worklist_result.flits_delivered ||
+      fullscan_result.channel_flits != worklist_result.channel_flits) {
+    std::cout << "ENGINE DISAGREEMENT on " << design.name << " (fullscan "
+              << fullscan_result.flits_delivered << " flits, worklist "
+              << worklist_result.flits_delivered << " flits)\n";
+    return false;
+  }
+  const double speedup =
+      worklist_ms > 0.0 ? fullscan_ms / worklist_ms : 0.0;
+  TextTable table;
+  table.SetHeader({"design", "channels", "flows", "packets", "flits",
+                   "fullscan (ms)", "worklist (ms)", "speedup"});
+  table.AddRow({design.name, std::to_string(design.topology.ChannelCount()),
+                std::to_string(design.traffic.FlowCount()),
+                std::to_string(worklist_result.packets_delivered),
+                std::to_string(worklist_result.flits_delivered),
+                FormatDouble(fullscan_ms, 2), FormatDouble(worklist_ms, 2),
+                FormatDouble(speedup, 2) + "x"});
+  table.Print(std::cout);
+  json.AddRow(JsonObject()
+                  .Set("section", "saturated_engine_speedup")
+                  .Set("design", design.name)
+                  .Set("channels", design.topology.ChannelCount())
+                  .Set("flows", design.traffic.FlowCount())
+                  .Set("packets_delivered", worklist_result.packets_delivered)
+                  .Set("flits_delivered", worklist_result.flits_delivered)
+                  .Set("cycles", worklist_result.cycles)
+                  .Set("fullscan_ms", fullscan_ms)
+                  .Set("worklist_ms", worklist_ms)
+                  .Set("saturated_engine_speedup", speedup));
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -215,9 +290,13 @@ int main(int argc, char** argv) {
   }
   BenchJsonWriter json("sim_latency_curve");
   const double min_speedup = MeasureEventEngineSpeedup(json, repeats);
+  const bool saturated_agree = MeasureSaturatedEngineSpeedup(json, repeats);
   const std::string path = json.Write();
   if (!path.empty()) {
     std::cout << "rows written to " << path << "\n";
+  }
+  if (!saturated_agree) {
+    return 1;
   }
   if (min_speedup < 10.0) {
     std::cout << "FAIL: event engine speedup " << FormatDouble(min_speedup, 1)

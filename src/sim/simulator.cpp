@@ -1,12 +1,14 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
 #include <optional>
 #include <queue>
+#include <span>
 
 #include "sim/event_queue.h"
 #include "sim/transition.h"
+#include "sim/work_set.h"
 #include "util/error.h"
 
 namespace nocdr {
@@ -23,12 +25,18 @@ struct TransitionSpec {
   bool midflight = false;
 };
 
-/// Runtime state of one channel: its input buffer at the downstream
-/// switch and the wormhole ownership.
-struct VcState {
-  std::deque<Flit> fifo;
-  std::optional<PacketKey> owner;
-};
+/// Wormhole ownership of a channel as one comparable word: the owning
+/// packet's flow in the high half, its sequence number in the low half.
+using OwnerKey = std::uint64_t;
+constexpr OwnerKey kNoOwner = ~OwnerKey{0};
+
+OwnerKey KeyOf(const PacketKey& packet) {
+  return (static_cast<OwnerKey>(packet.flow.value()) << 32) |
+         packet.sequence;
+}
+
+/// End of a waiter list.
+constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
 
 /// Injection state of one flow.
 struct SourceState {
@@ -44,38 +52,63 @@ struct SourceState {
 class Engine {
  public:
   Engine(const NocDesign& design, const SimConfig& config,
-         const TransitionSpec* transition = nullptr,
-         const TrafficSchedule* schedule = nullptr)
-      : design_(design),
-        config_(config),
+         const TrafficSchedule& schedule,
+         const TransitionSpec* transition = nullptr)
+      : config_(config),
         transition_(transition),
-        schedule_(schedule != nullptr
-                      ? *schedule
-                      : TrafficSchedule(design, config.traffic,
-                                        config.max_cycles)),
-        vcs_(design.topology.ChannelCount()),
+        depth_(config.buffer_depth),
+        // A buffer only ever holds flits of the worm that owns it (a head
+        // may enter only an unowned channel, and the owner is released
+        // when its tail leaves), so a ring never needs more slots than a
+        // packet has flits.
+        ring_(std::min<std::uint32_t>(config.buffer_depth,
+                                      config.traffic.packet_length)),
         sources_(design.traffic.FlowCount()) {
-    result_.packets_offered = schedule_.TotalPackets();
-    result_.flows.resize(design.traffic.FlowCount());
-    result_.channel_flits.assign(design.topology.ChannelCount(), 0);
-    flow_latency_sum_.assign(design.traffic.FlowCount(), 0);
+    const std::size_t channels = design.topology.ChannelCount();
+    const std::size_t flows = sources_.size();
+    result_.packets_offered = schedule.TotalPackets();
+    result_.flows.resize(flows);
+    result_.channel_flits.assign(channels, 0);
+    flow_latency_sum_.assign(flows, 0);
+
+    slots_.resize(channels * ring_);
+    head_.assign(channels, 0);
+    size_.assign(channels, 0);
+    owner_.assign(channels, kNoOwner);
+    link_of_.resize(channels);
+    for (std::size_t c = 0; c < channels; ++c) {
+      link_of_[c] = design.topology.ChannelAt(ChannelId(c)).link.value();
+    }
+    const RouteSet& first_routes =
+        transition != nullptr ? *transition->pre_routes : design.routes;
+    ready_.resize(flows);
+    routes_[0].resize(flows);
+    routes_[1].resize(flows);
+    for (std::size_t f = 0; f < flows; ++f) {
+      ready_[f] = schedule.ReadyCycles(FlowId(f));
+      routes_[0][f] = first_routes.RouteOf(FlowId(f));
+      routes_[1][f] = design.routes.RouteOf(FlowId(f));
+    }
 
     link_stamp_.assign(design.topology.LinkCount(), 0);
-    popped_stamp_.assign(vcs_.size(), 0);
-    claim_stamp_.assign(vcs_.size(), 0);
-    slot_stamp_.assign(vcs_.size(), 0);
-    free_slots_.assign(vcs_.size(), 0);
-    channel_active_.assign(vcs_.size(), 0);
-    flow_armed_.assign(sources_.size(), 0);
-    for (std::size_t f = 0; f < sources_.size(); ++f) {
-      if (schedule_.PacketCount(FlowId(f)) == 0) {
+    claim_stamp_.assign(channels, 0);
+    slot_stamp_.assign(channels, 0);
+    free_slots_.assign(channels, 0);
+    active_.Reset(channels);
+    parked_channels_.Reset(channels);
+    armed_.Reset(flows);
+    parked_flows_.Reset(flows);
+    slot_waiters_.assign(channels, kNoWaiter);
+    owner_waiters_.assign(channels, kNoWaiter);
+    wait_next_.assign(channels + flows, kNoWaiter);
+    for (std::size_t f = 0; f < flows; ++f) {
+      const auto id = static_cast<std::uint32_t>(f);
+      if (ready_[f].empty()) {
         ++drained_sources_;
-      } else if (schedule_.ReadyAt(FlowId(f), 0) == 0) {
-        armed_.push_back(static_cast<std::uint32_t>(f));
-        flow_armed_[f] = 1;
+      } else if (ready_[f][0] == 0) {
+        Arm(id);
       } else {
-        ParkFlow(static_cast<std::uint32_t>(f),
-                 schedule_.ReadyAt(FlowId(f), 0));
+        DeferFlow(id, ready_[f][0]);
       }
     }
   }
@@ -137,8 +170,8 @@ class Engine {
       }
     }
     result_.cycles = cycle_;
-    for (const VcState& vc : vcs_) {
-      result_.stuck_flits += vc.fifo.size();
+    for (const std::uint32_t size : size_) {
+      result_.stuck_flits += size;
     }
     if (result_.flits_delivered > 0 && result_.packets_delivered > 0) {
       result_.avg_packet_latency =
@@ -156,9 +189,10 @@ class Engine {
   }
 
  private:
-  /// True for the engines that maintain the active/armed worklists (the
-  /// event engine is the worklist step machinery under an event-driven
-  /// clock); false only for the full-scan reference.
+  /// True for the engines that maintain the active/armed worklists and
+  /// park blocked heads (the event engine is the worklist step machinery
+  /// under an event-driven clock); false only for the full-scan
+  /// reference.
   [[nodiscard]] bool Worklist() const {
     return config_.engine != SimEngine::kFullScan;
   }
@@ -167,16 +201,26 @@ class Engine {
     return config_.engine == SimEngine::kEvent;
   }
 
-  /// Parks flow \p f until \p ready: an injection event for the event
+  /// Defers flow \p f until \p ready: an injection event for the event
   /// engine, a ready-heap entry for the worklist engine. (The full-scan
-  /// engine re-polls every flow each cycle and ignores both, but parking
-  /// is harmless and keeps the constructor engine-agnostic.)
-  void ParkFlow(std::uint32_t f, std::uint64_t ready) {
+  /// engine re-polls every flow each cycle and ignores both, but
+  /// deferring is harmless and keeps the constructor engine-agnostic.)
+  void DeferFlow(std::uint32_t f, std::uint64_t ready) {
     if (EventDriven()) {
       events_.Push({ready, EventKind::kFlitInjection, f});
     } else {
       ready_heap_.push({ready, f});
     }
+  }
+
+  void Arm(std::uint32_t f) {
+    armed_.Insert(f);
+    ++armed_count_;
+  }
+
+  void Disarm(std::uint32_t f) {
+    armed_.Erase(f);
+    --armed_count_;
   }
 
   /// Earliest future cycle at which anything observable can happen,
@@ -213,12 +257,8 @@ class Engine {
     if (Worklist()) {
       return flits_in_network_ > 0;
     }
-    for (const VcState& vc : vcs_) {
-      if (!vc.fifo.empty()) {
-        return true;
-      }
-    }
-    return false;
+    return std::any_of(size_.begin(), size_.end(),
+                       [](std::uint32_t size) { return size != 0; });
   }
 
   [[nodiscard]] bool AllSourcesDrained() const {
@@ -226,20 +266,111 @@ class Engine {
       return drained_sources_ == sources_.size();
     }
     for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (sources_[i].next_packet < schedule_.PacketCount(FlowId(i))) {
+      if (sources_[i].next_packet < ready_[i].size()) {
         return false;
       }
     }
     return true;
   }
 
-  /// Route a flit is bound to: packets injected before the transition
-  /// follow the pre-fault routes, everything else the design's routes.
-  [[nodiscard]] const Route& RouteFor(const Flit& flit) const {
-    if (transition_ != nullptr && flit.route_epoch == 0) {
-      return transition_->pre_routes->RouteOf(flit.packet.flow);
+  /// Route a flit is bound to: in a transition run, packets injected
+  /// before the switch (epoch 0) follow the pre-fault routes, everything
+  /// else the design's routes. Outside transitions both epochs hold the
+  /// design's routes.
+  [[nodiscard]] std::span<const ChannelId> RouteFor(const Flit& flit) const {
+    return routes_[flit.route_epoch][flit.packet.flow.value()];
+  }
+
+  [[nodiscard]] Flit& Slot(std::uint32_t c, std::uint32_t i) {
+    std::uint32_t pos = head_[c] + i;
+    if (pos >= ring_) {
+      pos -= ring_;
     }
-    return design_.routes.RouteOf(flit.packet.flow);
+    return slots_[static_cast<std::size_t>(c) * ring_ + pos];
+  }
+
+  [[nodiscard]] const Flit& Front(std::uint32_t c) const {
+    return slots_[static_cast<std::size_t>(c) * ring_ + head_[c]];
+  }
+
+  Flit PopFront(std::uint32_t c) {
+    const Flit flit = Front(c);
+    head_[c] = head_[c] + 1 == ring_ ? 0 : head_[c] + 1;
+    if (--size_[c] == 0) {
+      active_.Erase(c);
+    }
+    Wake(slot_waiters_[c]);
+    if (flit.is_tail) {
+      Wake(owner_waiters_[c]);  // the tail releases c's owner
+    }
+    return flit;
+  }
+
+  void PushBack(std::uint32_t c, const Flit& flit) {
+    Slot(c, size_[c]) = flit;
+    if (size_[c]++ == 0) {
+      active_.Insert(c);
+    }
+  }
+
+  [[nodiscard]] bool ForeignOwned(std::uint32_t t, OwnerKey packet) const {
+    return owner_[t] != kNoOwner && owner_[t] != packet;
+  }
+
+  /// True when channel \p t refuses every flit of \p packet until it
+  /// pops one: it is full, or another worm owns it. This is the hard
+  /// wait of the circular-wait check.
+  [[nodiscard]] bool Blocks(std::uint32_t t, OwnerKey packet) const {
+    return size_[t] >= depth_ || ForeignOwned(t, packet);
+  }
+
+  /// Parked blocked heads. Called after a failed claim on \p t by
+  /// \p waiter (channel c as waiter c, flow f as waiter channels + f) for
+  /// a flit of \p packet. If t blocks the claim at cycle start (buffers
+  /// and owners change only in Commit), the claim fails, without side
+  /// effects, on every cycle until t pops a flit: a pop is the only way
+  /// t frees a slot or releases its owner. The waiter then sleeps on one
+  /// of t's intrusive waiter lists and is masked out of the visits until
+  /// that pop wakes it: a foreign owner holds t until its tail leaves, so
+  /// its waiters wait for the tail; a full buffer of the waiter's own
+  /// worm frees a slot on any pop.
+  void ParkIfBlocked(std::uint32_t waiter, std::uint32_t t, OwnerKey packet) {
+    std::uint32_t* list = nullptr;
+    if (ForeignOwned(t, packet)) {
+      list = &owner_waiters_[t];
+    } else if (size_[t] >= depth_) {
+      list = &slot_waiters_[t];
+    } else {
+      return;  // lost to another claim this cycle: retry next cycle
+    }
+    wait_next_[waiter] = *list;
+    *list = waiter;
+    const auto channels = static_cast<std::uint32_t>(size_.size());
+    if (waiter < channels) {
+      parked_channels_.Insert(waiter);
+    } else {
+      parked_flows_.Insert(waiter - channels);
+    }
+  }
+
+  /// Unmasks every waiter of \p list and empties it.
+  void Wake(std::uint32_t& list) {
+    const auto channels = static_cast<std::uint32_t>(size_.size());
+    for (std::uint32_t w = list; w != kNoWaiter; w = wait_next_[w]) {
+      if (w < channels) {
+        parked_channels_.Erase(w);
+      } else {
+        parked_flows_.Erase(w - channels);
+      }
+    }
+    list = kNoWaiter;
+  }
+
+  void WakeAll() {
+    parked_channels_.Clear();
+    parked_flows_.Clear();
+    std::fill(slot_waiters_.begin(), slot_waiters_.end(), kNoWaiter);
+    std::fill(owner_waiters_.begin(), owner_waiters_.end(), kNoWaiter);
   }
 
   [[nodiscard]] bool NoSourceMidPacket() const {
@@ -261,16 +392,24 @@ class Engine {
     }
     if (transition_->midflight) {
       KillDeadPackets();
-      epoch_switched_ = true;
+      SwitchEpoch();
       return;
     }
     inject_suspended_ = true;
     if (!FlitsInFlight() && NoSourceMidPacket()) {
       inject_suspended_ = false;
-      epoch_switched_ = true;
+      SwitchEpoch();
     } else {
       ++drain_cycles_;
     }
+  }
+
+  /// New packets take the post-fault routes from here on. A parked
+  /// injection waits on its pre-fault first channel and a drain ends its
+  /// suspension, so every waiter is woken to re-evaluate.
+  void SwitchEpoch() {
+    epoch_switched_ = true;
+    WakeAll();
   }
 
   /// Destroys every packet that occupies a dead channel or whose
@@ -282,96 +421,86 @@ class Engine {
     if (dead == nullptr || dead->empty()) {
       return;
     }
+    const auto channels = static_cast<std::uint32_t>(size_.size());
     // A flit in flight sits on channel route[hop], so scanning the route
     // from `hop` covers both "on a dead channel" and "needs one later".
-    std::vector<PacketKey> doomed;
-    for (const VcState& vc : vcs_) {
-      for (const Flit& flit : vc.fifo) {
-        const Route& route = RouteFor(flit);
-        for (std::size_t h = flit.hop; h < route.size(); ++h) {
-          if ((*dead)[route[h].value()]) {
-            doomed.push_back(flit.packet);
-            break;
-          }
+    std::vector<OwnerKey> doomed;
+    const auto needs_dead = [&](std::span<const ChannelId> route,
+                                std::size_t from) {
+      return std::any_of(route.begin() + static_cast<std::ptrdiff_t>(from),
+                         route.end(),
+                         [&](ChannelId c) { return (*dead)[c.value()]; });
+    };
+    for (std::uint32_t c = 0; c < channels; ++c) {
+      for (std::uint32_t i = 0; i < size_[c]; ++i) {
+        const Flit& flit = Slot(c, i);
+        if (needs_dead(RouteFor(flit), flit.hop)) {
+          doomed.push_back(KeyOf(flit.packet));
         }
       }
     }
     for (std::size_t f = 0; f < sources_.size(); ++f) {
       const SourceState& src = sources_[f];
-      if (src.next_flit == 0) {
-        continue;  // not mid-worm; future packets take the new routes
-      }
-      const Route& route = transition_->pre_routes->RouteOf(FlowId(f));
-      for (const ChannelId c : route) {
-        if ((*dead)[c.value()]) {
-          doomed.push_back(PacketKey{FlowId(f), src.next_packet});
-          break;
-        }
+      // Not mid-worm: future packets take the new routes. Mid-worm
+      // packets were all injected before the switch, under epoch 0.
+      if (src.next_flit != 0 && needs_dead(routes_[0][f], 0)) {
+        doomed.push_back(KeyOf(PacketKey{FlowId(f), src.next_packet}));
       }
     }
     if (doomed.empty()) {
       return;
     }
-    const auto less = [](const PacketKey& a, const PacketKey& b) {
-      if (a.flow != b.flow) {
-        return a.flow < b.flow;
-      }
-      return a.sequence < b.sequence;
-    };
-    std::sort(doomed.begin(), doomed.end(), less);
+    std::sort(doomed.begin(), doomed.end());
     doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
-    const auto is_doomed = [&](const PacketKey& key) {
-      return std::binary_search(doomed.begin(), doomed.end(), key, less);
+    const auto is_doomed = [&](OwnerKey key) {
+      return std::binary_search(doomed.begin(), doomed.end(), key);
     };
-    for (VcState& vc : vcs_) {
-      const std::size_t before = vc.fifo.size();
-      std::erase_if(vc.fifo, [&](const Flit& flit) {
-        return is_doomed(flit.packet);
-      });
-      flits_in_network_ -= before - vc.fifo.size();
-      if (vc.owner.has_value() && is_doomed(*vc.owner)) {
-        vc.owner.reset();
+    for (std::uint32_t c = 0; c < channels; ++c) {
+      // Compact the survivors towards the ring head, in order: slot
+      // `kept` was already read when slot `i` >= kept is.
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < size_[c]; ++i) {
+        const Flit flit = Slot(c, i);
+        if (!is_doomed(KeyOf(flit.packet))) {
+          Slot(c, kept++) = flit;
+        }
+      }
+      flits_in_network_ -= size_[c] - kept;
+      size_[c] = kept;
+      if (kept == 0) {
+        active_.Erase(c);
+      }
+      if (owner_[c] != kNoOwner && is_doomed(owner_[c])) {
+        owner_[c] = kNoOwner;
       }
     }
     for (std::size_t f = 0; f < sources_.size(); ++f) {
       SourceState& src = sources_[f];
       if (src.next_flit != 0 &&
-          is_doomed(PacketKey{FlowId(f), src.next_packet})) {
+          is_doomed(KeyOf(PacketKey{FlowId(f), src.next_packet}))) {
         src.next_flit = 0;
         ++src.next_packet;
         NotePacketInjected(FlowId(f));
       }
     }
     packets_dropped_ += doomed.size();
-    if (Worklist()) {
-      // One-off full rebuild of the active-channel list; cheaper than
-      // threading the purge through the touched_ bookkeeping.
-      active_.clear();
-      for (std::size_t c = 0; c < vcs_.size(); ++c) {
-        channel_active_[c] = vcs_[c].fifo.empty() ? 0 : 1;
-        if (channel_active_[c]) {
-          active_.push_back(static_cast<std::uint32_t>(c));
-        }
-      }
-    }
   }
 
   /// One simulated cycle; returns true when at least one flit moved.
   ///
   /// Every engine visits channels in ascending id order starting at
   /// (cycle mod channel count) with wraparound, then flows likewise —
-  /// the rotating round-robin. Channels with empty buffers and drained
-  /// flows are no-ops under that scan, so the worklist engine skipping
-  /// them is semantics-preserving, and the event engine additionally
-  /// skipping whole cycles in which nothing could move (see
-  /// NextWakeCycle) preserves the cycle numbering those pivots depend
-  /// on. All three engines therefore stay bit-identical.
+  /// the rotating round-robin. Channels with empty buffers, drained
+  /// flows and parked claimants are no-ops under that scan, so the
+  /// worklist engine skipping them is semantics-preserving, and the
+  /// event engine additionally skipping whole cycles in which nothing
+  /// could move (see NextWakeCycle) preserves the cycle numbering those
+  /// pivots depend on. All three engines therefore stay bit-identical.
   bool Step() {
     stamp_ = cycle_ + 1;  // distinct from the 0 the scratch stamps start at
     moves_.clear();
     ejects_.clear();
     injections_.clear();
-    touched_.clear();
     tail_ejected_ = false;
 
     bool moved = false;
@@ -383,9 +512,6 @@ class Engine {
       moved |= PlanInjections();
     }
     Commit();
-    if (Worklist()) {
-      UpdateWorklists();
-    }
     return moved;
   }
 
@@ -393,26 +519,16 @@ class Engine {
   /// round-robin order over channel ids.
   bool PlanForwards() {
     bool moved = false;
+    const std::size_t n = size_.size();
     if (Worklist()) {
-      if (!active_.empty()) {
-        const std::uint32_t pivot =
-            static_cast<std::uint32_t>(cycle_ % vcs_.size());
-        const auto split =
-            std::lower_bound(active_.begin(), active_.end(), pivot);
-        for (auto it = split; it != active_.end(); ++it) {
-          moved |= TryForwardFrom(ChannelId(*it));
-        }
-        for (auto it = active_.begin(); it != split; ++it) {
-          moved |= TryForwardFrom(ChannelId(*it));
-        }
+      if (flits_in_network_ > 0) {
+        active_.VisitFrom(cycle_ % n, parked_channels_, [&](std::uint32_t c) {
+          moved |= TryForwardFrom(c);
+        });
       }
     } else {
-      const std::size_t n = vcs_.size();
       for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t c = (k + cycle_) % n;
-        if (TryForwardFrom(ChannelId(c))) {
-          moved = true;
-        }
+        moved |= TryForwardFrom(static_cast<std::uint32_t>((k + cycle_) % n));
       }
     }
     return moved;
@@ -422,93 +538,72 @@ class Engine {
   /// order over flow ids.
   bool PlanInjections() {
     bool moved = false;
+    const std::size_t flows = sources_.size();
     if (Worklist()) {
-      // Arm the flows whose next packet became ready by now. Equal ready
-      // times pop in unspecified order (heap) or tie-break order (event
-      // queue), but the batch is sorted before merging, so the armed
-      // list is schedule-deterministic either way.
-      newly_armed_.clear();
-      if (EventDriven()) {
-        // Drain every event due this cycle: injection events arm their
-        // flow; credit-return / worm-completion / arbitration wakes
-        // exist to pull the clock here and are consumed by the step
-        // itself.
-        while (!events_.Empty() && events_.Top().cycle <= cycle_) {
-          const SimEvent event = events_.PopTop();
-          if (event.kind == EventKind::kFlitInjection) {
-            newly_armed_.push_back(event.id);
-            flow_armed_[event.id] = 1;
-          }
-        }
-      } else {
-        while (!ready_heap_.empty() && ready_heap_.top().first <= cycle_) {
-          newly_armed_.push_back(ready_heap_.top().second);
-          flow_armed_[ready_heap_.top().second] = 1;
-          ready_heap_.pop();
-        }
-      }
-      if (!newly_armed_.empty()) {
-        std::sort(newly_armed_.begin(), newly_armed_.end());
-        const auto mid = static_cast<std::ptrdiff_t>(armed_.size());
-        armed_.insert(armed_.end(), newly_armed_.begin(),
-                      newly_armed_.end());
-        std::inplace_merge(armed_.begin(), armed_.begin() + mid,
-                           armed_.end());
-      }
-      if (!armed_.empty()) {
-        const std::uint32_t pivot =
-            static_cast<std::uint32_t>(cycle_ % sources_.size());
-        const auto split =
-            std::lower_bound(armed_.begin(), armed_.end(), pivot);
-        for (auto it = split; it != armed_.end(); ++it) {
-          moved |= TryInject(FlowId(*it));
-        }
-        for (auto it = armed_.begin(); it != split; ++it) {
-          moved |= TryInject(FlowId(*it));
-        }
+      ArmReadyFlows();
+      if (armed_count_ > 0) {
+        armed_.VisitFrom(cycle_ % flows, parked_flows_, [&](std::uint32_t f) {
+          moved |= TryInject(f);
+        });
       }
     } else {
-      const std::size_t flows = sources_.size();
       for (std::size_t k = 0; k < flows; ++k) {
-        const std::size_t f = (k + cycle_) % flows;
-        if (TryInject(FlowId(f))) {
-          moved = true;
-        }
+        moved |= TryInject(static_cast<std::uint32_t>((k + cycle_) % flows));
       }
     }
     return moved;
   }
 
+  /// Arms the flows whose next packet became ready by now. The armed set
+  /// is a bitset, so the order equal ready times pop in (heap order, or
+  /// the event queue's tie-break) does not matter.
+  void ArmReadyFlows() {
+    if (EventDriven()) {
+      // Drain every event due this cycle: injection events arm their
+      // flow; credit-return / worm-completion / arbitration wakes exist
+      // to pull the clock here and are consumed by the step itself.
+      while (!events_.Empty() && events_.Top().cycle <= cycle_) {
+        const SimEvent event = events_.PopTop();
+        if (event.kind == EventKind::kFlitInjection) {
+          Arm(event.id);
+        }
+      }
+    } else {
+      while (!ready_heap_.empty() && ready_heap_.top().first <= cycle_) {
+        Arm(ready_heap_.top().second);
+        ready_heap_.pop();
+      }
+    }
+  }
+
   /// Plans the move of the head flit of channel \p c, if possible.
-  bool TryForwardFrom(ChannelId c) {
-    VcState& vc = vcs_[c.value()];
-    if (vc.fifo.empty() || popped_stamp_[c.value()] == stamp_) {
+  bool TryForwardFrom(std::uint32_t c) {
+    if (size_[c] == 0) {
       return false;
     }
-    const Flit& flit = vc.fifo.front();
-    const Route& route = RouteFor(flit);
+    const Flit& flit = Front(c);
+    const std::span<const ChannelId> route = RouteFor(flit);
     if (flit.hop + 1u == route.size()) {
       // Last channel: eject into the destination NI (ideal sink).
       ejects_.push_back(c);
-      popped_stamp_[c.value()] = stamp_;
       return true;
     }
-    const ChannelId t = route[flit.hop + 1];
+    const std::uint32_t t = route[flit.hop + 1].value();
     if (!ClaimTransfer(t, flit)) {
+      if (Worklist()) {
+        ParkIfBlocked(c, t, KeyOf(flit.packet));
+      }
       return false;
     }
     moves_.push_back({c, t});
-    popped_stamp_[c.value()] = stamp_;
     return true;
   }
 
   /// Plans injecting the next flit of flow \p f, if one is ready.
-  bool TryInject(FlowId f) {
-    SourceState& src = sources_[f.value()];
-    if (src.next_packet >= schedule_.PacketCount(f)) {
-      return false;
-    }
-    if (schedule_.ReadyAt(f, src.next_packet) > cycle_) {
+  bool TryInject(std::uint32_t f) {
+    SourceState& src = sources_[f];
+    const std::span<const std::uint64_t> ready = ready_[f];
+    if (src.next_packet >= ready.size() || ready[src.next_packet] > cycle_) {
       return false;
     }
     // A drain suspends new packets only; a worm already under way keeps
@@ -520,9 +615,7 @@ class Engine {
       src.packet_epoch =
           (transition_ != nullptr && epoch_switched_) ? 1 : 0;
     }
-    const Route& route = src.packet_epoch == 0 && transition_ != nullptr
-                             ? transition_->pre_routes->RouteOf(f)
-                             : design_.routes.RouteOf(f);
+    const std::span<const ChannelId> route = routes_[src.packet_epoch][f];
     if (route.empty()) {
       // Core-local flow: delivered through the switch's local crossbar
       // turnaround without using any network channel.
@@ -533,25 +626,30 @@ class Engine {
       latency_sum_ += 1;
       result_.max_packet_latency = std::max<std::uint64_t>(
           result_.max_packet_latency, 1);
-      FlowStats& stats = result_.flows[f.value()];
+      FlowStats& stats = result_.flows[f];
       ++stats.packets_delivered;
       stats.max_latency = std::max<std::uint64_t>(stats.max_latency, 1);
-      flow_latency_sum_[f.value()] += 1;
-      NotePacketInjected(f);
+      flow_latency_sum_[f] += 1;
+      NotePacketInjected(FlowId(f));
       return true;
     }
     Flit flit;
-    flit.packet = PacketKey{f, src.next_packet};
+    flit.packet = PacketKey{FlowId(f), src.next_packet};
     flit.index = src.next_flit;
     flit.is_head = src.next_flit == 0;
     flit.is_tail = src.next_flit + 1u == config_.traffic.packet_length;
     flit.hop = 0;
     flit.injected_at = flit.is_head ? cycle_ : src.head_injected_at;
     flit.route_epoch = src.packet_epoch;
-    if (!ClaimTransfer(route.front(), flit)) {
+    const std::uint32_t t = route.front().value();
+    if (!ClaimTransfer(t, flit)) {
+      if (Worklist()) {
+        ParkIfBlocked(static_cast<std::uint32_t>(size_.size()) + f, t,
+                      KeyOf(flit.packet));
+      }
       return false;
     }
-    injections_.push_back(flit);
+    injections_.push_back({t, flit});
     if (flit.is_head) {
       src.head_injected_at = cycle_;
       ++result_.packets_injected;
@@ -559,7 +657,7 @@ class Engine {
     if (flit.is_tail) {
       ++src.next_packet;
       src.next_flit = 0;
-      NotePacketInjected(f);
+      NotePacketInjected(FlowId(f));
     } else {
       ++src.next_flit;
     }
@@ -567,84 +665,75 @@ class Engine {
   }
 
   /// Bookkeeping after a packet finished injecting (tail planned, or a
-  /// core-local delivery): the flow either drained, stays armed (next
-  /// packet already ready), or parks in the ready heap until its next
-  /// packet's ready cycle.
+  /// core-local delivery) in the worklist engines: the flow either
+  /// drained, stays armed (next packet already ready), or is deferred
+  /// until its next packet's ready cycle. The full scan re-polls every
+  /// flow and keeps no such state.
   void NotePacketInjected(FlowId f) {
-    const SourceState& src = sources_[f.value()];
-    if (src.next_packet >= schedule_.PacketCount(f)) {
-      ++drained_sources_;
-      flow_armed_[f.value()] = 0;
-      disarm_dirty_ = true;
+    if (!Worklist()) {
       return;
     }
-    if (Worklist()) {
-      const std::uint64_t ready = schedule_.ReadyAt(f, src.next_packet);
-      if (ready > cycle_) {
-        flow_armed_[f.value()] = 0;
-        disarm_dirty_ = true;
-        ParkFlow(f.value(), ready);
-      }
+    const std::uint32_t id = f.value();
+    const std::uint32_t next = sources_[id].next_packet;
+    if (next >= ready_[id].size()) {
+      ++drained_sources_;
+      Disarm(id);
+    } else if (ready_[id][next] > cycle_) {
+      Disarm(id);
+      DeferFlow(id, ready_[id][next]);
     }
   }
 
   /// Claimable free slots of channel \p t this cycle, lazily initialized
   /// from the buffer occupancy at cycle start (buffers only change in
   /// Commit, after all planning).
-  int& FreeSlots(ChannelId t) {
-    if (slot_stamp_[t.value()] != stamp_) {
-      slot_stamp_[t.value()] = stamp_;
-      free_slots_[t.value()] =
-          static_cast<int>(config_.buffer_depth) -
-          static_cast<int>(vcs_[t.value()].fifo.size());
+  int& FreeSlots(std::uint32_t t) {
+    if (slot_stamp_[t] != stamp_) {
+      slot_stamp_[t] = stamp_;
+      free_slots_[t] =
+          static_cast<int>(depth_) - static_cast<int>(size_[t]);
     }
-    return free_slots_[t.value()];
+    return free_slots_[t];
   }
 
   /// Claims buffer space, link bandwidth and wormhole ownership for
   /// moving \p flit into channel \p t. Returns false (claiming nothing)
   /// if any resource is unavailable this cycle.
-  bool ClaimTransfer(ChannelId t, const Flit& flit) {
-    const LinkId link = design_.topology.ChannelAt(t).link;
-    if (link_stamp_[link.value()] == stamp_) {
+  bool ClaimTransfer(std::uint32_t t, const Flit& flit) {
+    const std::uint32_t link = link_of_[t];
+    if (link_stamp_[link] == stamp_) {
       return false;
     }
     if (FreeSlots(t) <= 0) {
       return false;
     }
-    VcState& target = vcs_[t.value()];
-    if (target.owner.has_value()) {
-      if (*target.owner != flit.packet) {
+    if (owner_[t] != kNoOwner) {
+      if (owner_[t] != KeyOf(flit.packet)) {
         return false;  // channel held by another worm
       }
     } else {
       // Only a head flit may allocate a free channel, and only one head
       // per channel per cycle.
-      if (!flit.is_head || claim_stamp_[t.value()] == stamp_) {
+      if (!flit.is_head || claim_stamp_[t] == stamp_) {
         return false;
       }
-      claim_stamp_[t.value()] = stamp_;
+      claim_stamp_[t] = stamp_;
     }
-    link_stamp_[link.value()] = stamp_;
+    link_stamp_[link] = stamp_;
     --FreeSlots(t);
     return true;
   }
 
-  /// Applies the planned ejections, forwards and injections.
+  /// Applies the planned ejections, forwards and injections. Every pop
+  /// wakes the claimants parked on the popped channel.
   void Commit() {
-    const bool track = Worklist();
-    for (ChannelId c : ejects_) {
-      VcState& vc = vcs_[c.value()];
-      Flit flit = vc.fifo.front();
-      vc.fifo.pop_front();
+    for (const std::uint32_t c : ejects_) {
+      const Flit flit = PopFront(c);
       --flits_in_network_;
-      if (track) {
-        touched_.push_back(c.value());
-      }
       ++result_.flits_delivered;
-      ++result_.channel_flits[c.value()];
+      ++result_.channel_flits[c];
       if (flit.is_tail) {
-        vc.owner.reset();
+        owner_[c] = kNoOwner;
         tail_ejected_ = true;
         ++result_.packets_delivered;
         const std::uint64_t latency = cycle_ - flit.injected_at + 1;
@@ -658,80 +747,23 @@ class Engine {
       }
     }
     for (const auto& [from, to] : moves_) {
-      VcState& src = vcs_[from.value()];
-      VcState& dst = vcs_[to.value()];
-      Flit flit = src.fifo.front();
-      src.fifo.pop_front();
-      if (track) {
-        touched_.push_back(from.value());
-        touched_.push_back(to.value());
-      }
-      ++result_.channel_flits[from.value()];
+      Flit flit = PopFront(from);
+      ++result_.channel_flits[from];
       if (flit.is_head) {
-        dst.owner = flit.packet;
+        owner_[to] = KeyOf(flit.packet);
       }
       if (flit.is_tail) {
-        src.owner.reset();
+        owner_[from] = kNoOwner;
       }
       ++flit.hop;
-      dst.fifo.push_back(flit);
+      PushBack(to, flit);
     }
-    for (const Flit& flit : injections_) {
-      const Route& route = RouteFor(flit);
-      VcState& dst = vcs_[route.front().value()];
+    for (const auto& [to, flit] : injections_) {
       if (flit.is_head) {
-        dst.owner = flit.packet;
+        owner_[to] = KeyOf(flit.packet);
       }
-      dst.fifo.push_back(flit);
+      PushBack(to, flit);
       ++flits_in_network_;
-      if (track) {
-        touched_.push_back(route.front().value());
-      }
-    }
-  }
-
-  /// Re-syncs the active-channel and live-flow worklists with the state
-  /// changes Commit just applied. O(touched + active) and only when
-  /// something changed.
-  void UpdateWorklists() {
-    if (disarm_dirty_) {
-      armed_.erase(std::remove_if(armed_.begin(), armed_.end(),
-                                  [&](std::uint32_t f) {
-                                    return !flow_armed_[f];
-                                  }),
-                   armed_.end());
-      disarm_dirty_ = false;
-    }
-    if (touched_.empty()) {
-      return;
-    }
-    bool removed = false;
-    newly_active_.clear();
-    for (const std::uint32_t c : touched_) {
-      const bool now = !vcs_[c].fifo.empty();
-      if (now == static_cast<bool>(channel_active_[c])) {
-        continue;
-      }
-      channel_active_[c] = now ? 1 : 0;
-      if (now) {
-        newly_active_.push_back(c);
-      } else {
-        removed = true;
-      }
-    }
-    if (removed) {
-      active_.erase(
-          std::remove_if(active_.begin(), active_.end(),
-                         [&](std::uint32_t c) { return !channel_active_[c]; }),
-          active_.end());
-    }
-    if (!newly_active_.empty()) {
-      std::sort(newly_active_.begin(), newly_active_.end());
-      const auto mid = static_cast<std::ptrdiff_t>(active_.size());
-      active_.insert(active_.end(), newly_active_.begin(),
-                     newly_active_.end());
-      std::inplace_merge(active_.begin(), active_.begin() + mid,
-                         active_.end());
     }
   }
 
@@ -741,55 +773,48 @@ class Engine {
   /// directed cycle of hard waits can never resolve (wormhole channels
   /// are non-preemptible), so it is a deadlock certificate.
   bool DetectCircularWait() {
-    const std::size_t n = vcs_.size();
-    std::vector<std::int32_t> waits_on(n, -1);
-    const auto consider = [&](std::size_t c) {
-      const VcState& vc = vcs_[c];
-      if (vc.fifo.empty()) {
+    const std::size_t n = size_.size();
+    waits_on_.assign(n, -1);
+    const auto consider = [&](std::uint32_t c) {
+      if (size_[c] == 0) {
         return;
       }
-      const Flit& flit = vc.fifo.front();
-      const Route& route = RouteFor(flit);
+      const Flit& flit = Front(c);
+      const std::span<const ChannelId> route = RouteFor(flit);
       if (flit.hop + 1u == route.size()) {
         return;  // ejection never blocks
       }
-      const ChannelId t = route[flit.hop + 1];
-      const VcState& target = vcs_[t.value()];
-      const bool foreign_owner =
-          target.owner.has_value() && *target.owner != flit.packet;
-      const bool full = target.fifo.size() >= config_.buffer_depth;
-      if (foreign_owner || full) {
-        waits_on[c] = static_cast<std::int32_t>(t.value());
+      const std::uint32_t t = route[flit.hop + 1].value();
+      if (Blocks(t, KeyOf(flit.packet))) {
+        waits_on_[c] = static_cast<std::int32_t>(t);
       }
     };
     if (Worklist()) {
-      for (const std::uint32_t c : active_) {
-        consider(c);
-      }
+      active_.ForEach(consider);
     } else {
       for (std::size_t c = 0; c < n; ++c) {
-        consider(c);
+        consider(static_cast<std::uint32_t>(c));
       }
     }
     // Functional graph (out-degree <= 1): cycle detection by pointer
     // chasing with a visit stamp.
-    std::vector<std::uint32_t> stamp(n, 0);
+    visit_mark_.assign(n, 0);
     for (std::size_t start = 0; start < n; ++start) {
-      if (waits_on[start] < 0 || stamp[start] != 0) {
+      if (waits_on_[start] < 0 || visit_mark_[start] != 0) {
         continue;
       }
       std::size_t cur = start;
       const std::uint32_t mark = static_cast<std::uint32_t>(start) + 1;
-      while (waits_on[cur] >= 0 && stamp[cur] == 0) {
-        stamp[cur] = mark;
-        cur = static_cast<std::size_t>(waits_on[cur]);
+      while (waits_on_[cur] >= 0 && visit_mark_[cur] == 0) {
+        visit_mark_[cur] = mark;
+        cur = static_cast<std::size_t>(waits_on_[cur]);
       }
-      if (waits_on[cur] >= 0 && stamp[cur] == mark) {
+      if (waits_on_[cur] >= 0 && visit_mark_[cur] == mark) {
         // Found a cycle through `cur`; record it for the report.
         std::size_t walker = cur;
         do {
           result_.deadlock_cycle.push_back(ChannelId(walker));
-          walker = static_cast<std::size_t>(waits_on[walker]);
+          walker = static_cast<std::size_t>(waits_on_[walker]);
         } while (walker != cur);
         return true;
       }
@@ -797,49 +822,67 @@ class Engine {
     return false;
   }
 
-  const NocDesign& design_;
   SimConfig config_;
   const TransitionSpec* transition_;
-  TrafficSchedule schedule_;
-  std::vector<VcState> vcs_;
+  std::uint32_t depth_;  // buffer depth: the slots flow control grants
+  std::uint32_t ring_;   // ring slots per channel actually stored
   std::vector<SourceState> sources_;
   SimResult result_;
   std::uint64_t cycle_ = 0;
   std::uint64_t latency_sum_ = 0;
   std::vector<std::uint64_t> flow_latency_sum_;
 
+  // Flat network state. Channel c's buffer is the ring
+  // slots_[c * ring_ .. (c + 1) * ring_) holding size_[c] flits from
+  // head_[c] on; owner_[c] is its wormhole owner. Routes and ready
+  // cycles are views into the design and the schedule; routes_[e][f] is
+  // flow f's route under epoch e.
+  std::vector<Flit> slots_;
+  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> size_;
+  std::vector<OwnerKey> owner_;
+  std::vector<std::uint32_t> link_of_;
+  std::array<std::vector<std::span<const ChannelId>>, 2> routes_;
+  std::vector<std::span<const std::uint64_t>> ready_;
+
   // Per-cycle planning scratch, epoch-stamped so no O(channels) clearing
   // is needed between cycles (stamp == cycle + 1 means "set this cycle").
   std::uint64_t stamp_ = 0;
   std::vector<std::uint64_t> link_stamp_;
-  std::vector<std::uint64_t> popped_stamp_;
   std::vector<std::uint64_t> claim_stamp_;
   std::vector<std::uint64_t> slot_stamp_;
   std::vector<int> free_slots_;
-  std::vector<std::pair<ChannelId, ChannelId>> moves_;
-  std::vector<ChannelId> ejects_;
-  std::vector<Flit> injections_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> moves_;
+  std::vector<std::uint32_t> ejects_;
+  std::vector<std::pair<std::uint32_t, Flit>> injections_;
 
-  // Worklist-engine state. `active_` is the sorted list of channels with
-  // a non-empty buffer (mirrored by channel_active_); `armed_` the
-  // sorted list of flows with a ready packet pending injection
-  // (mirrored by flow_armed_). Flows whose next packet lies in the
-  // future park in ready_heap_, a min-heap on the ready cycle, so
-  // lightly loaded flows cost nothing per cycle.
-  std::vector<std::uint32_t> active_;
-  std::vector<char> channel_active_;
-  std::vector<std::uint32_t> armed_;
-  std::vector<char> flow_armed_;
+  // Circular-wait scratch, kept across checks.
+  std::vector<std::int32_t> waits_on_;
+  std::vector<std::uint32_t> visit_mark_;
+
+  // Worklist-engine state. `active_` holds the channels with a non-empty
+  // buffer, `armed_` the flows with a ready packet pending injection
+  // (armed_count_ of them). Flows whose next packet lies in the future
+  // wait in ready_heap_, a min-heap on the ready cycle, so lightly
+  // loaded flows cost nothing per cycle. Parked claimants (see
+  // ParkIfBlocked) stay in their set and are masked out by
+  // parked_channels_ / parked_flows_; slot_waiters_[t] and
+  // owner_waiters_[t] head channel t's two intrusive waiter lists,
+  // threaded through wait_next_.
+  WorkSet active_;
+  WorkSet parked_channels_;
+  WorkSet armed_;
+  WorkSet parked_flows_;
+  std::size_t armed_count_ = 0;
+  std::vector<std::uint32_t> slot_waiters_;
+  std::vector<std::uint32_t> owner_waiters_;
+  std::vector<std::uint32_t> wait_next_;
   std::priority_queue<std::pair<std::uint64_t, std::uint32_t>,
                       std::vector<std::pair<std::uint64_t, std::uint32_t>>,
                       std::greater<>>
       ready_heap_;
-  std::vector<std::uint32_t> touched_;       // channels mutated in Commit
-  std::vector<std::uint32_t> newly_active_;  // scratch for UpdateWorklists
-  std::vector<std::uint32_t> newly_armed_;   // scratch for PlanInjections
   std::uint64_t flits_in_network_ = 0;
   std::size_t drained_sources_ = 0;
-  bool disarm_dirty_ = false;
 
   // Event-engine state: the discrete-event queue (flit-injection events
   // replace the ready heap; wake events record why time stopped at a
@@ -893,7 +936,8 @@ SimResult SimulateWorkload(const NocDesign& design, const SimConfig& config) {
           "SimulateWorkload: packets need at least one flit");
   Require(config.buffer_depth >= 1,
           "SimulateWorkload: buffers need at least one slot");
-  Engine engine(design, config);
+  const TrafficSchedule schedule(design, config.traffic, config.max_cycles);
+  Engine engine(design, config, schedule);
   return engine.Run();
 }
 
@@ -905,7 +949,7 @@ SimResult SimulateWorkload(const NocDesign& design, const SimConfig& config,
           "SimulateWorkload: buffers need at least one slot");
   Require(schedule.FlowCount() == design.traffic.FlowCount(),
           "SimulateWorkload: schedule not sized for the design's flows");
-  Engine engine(design, config, nullptr, &schedule);
+  Engine engine(design, config, schedule);
   return engine.Run();
 }
 
@@ -929,7 +973,9 @@ TransitionResult SimulateTransition(const NocDesign& post_design,
   spec.cycle = config.transition_cycle;
   spec.midflight = config.policy == TransitionPolicy::kMidFlight;
 
-  Engine engine(post_design, config.sim, &spec);
+  const TrafficSchedule schedule(post_design, config.sim.traffic,
+                                 config.sim.max_cycles);
+  Engine engine(post_design, config.sim, schedule, &spec);
   TransitionResult result;
   result.sim = engine.Run();
   result.packets_dropped = engine.packets_dropped();

@@ -38,13 +38,18 @@ namespace nocdr {
 /// (property-tested three ways across the corpus); they differ only in
 /// what a cycle — or the absence of one — costs.
 enum class SimEngine {
-  /// Worklists of non-empty channels and undrained sources; per-cycle
-  /// cost is O(active), which is what makes million-packet validation
-  /// campaigns tractable on large designs.
+  /// Bitset worklists of non-empty channels and armed flows, plus
+  /// parked blocked heads: a channel head or flow whose claim failed on
+  /// a channel that is full or held by another worm sleeps on that
+  /// channel until it pops a flit (the only way it can free a slot or
+  /// release its owner). Idle channels and flows cost nothing, and under
+  /// saturating load a cycle costs only the claims that can succeed —
+  /// what makes million-packet validation campaigns tractable on large
+  /// designs.
   kWorklist,
   /// The reference formulation: scan every channel and every flow each
-  /// cycle. Kept as the baseline the other engines are differential-
-  /// tested and benchmarked against.
+  /// cycle, retrying every blocked claim. Kept as the oracle the other
+  /// engines are differential-tested and benchmarked against.
   kFullScan,
   /// Discrete-event core: the worklist step machinery driven by a
   /// binary-heap EventQueue (sim/event_queue.h) of flit-injection,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noc/design.h"
@@ -42,11 +43,9 @@ class TrafficSchedule {
   TrafficSchedule(const NocDesign& design, const TrafficConfig& config,
                   std::uint64_t horizon_cycles);
 
-  /// Number of packets flow \p f wants to inject in total.
-  [[nodiscard]] std::uint32_t PacketCount(FlowId f) const;
-
-  /// Cycle at which packet \p seq of flow \p f becomes ready.
-  [[nodiscard]] std::uint64_t ReadyAt(FlowId f, std::uint32_t seq) const;
+  /// The cycle at which each packet of flow \p f becomes ready, in
+  /// packet order; its size is the number of packets the flow injects.
+  [[nodiscard]] std::span<const std::uint64_t> ReadyCycles(FlowId f) const;
 
   [[nodiscard]] std::uint64_t TotalPackets() const { return total_; }
 

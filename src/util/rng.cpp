@@ -2,14 +2,6 @@
 
 namespace nocdr {
 
-std::uint64_t Rng::Next() {
-  // SplitMix64 (Steele, Lea, Flood 2014). Public-domain constants.
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t Rng::NextBelow(std::uint64_t bound) {
   // Rejection sampling to avoid modulo bias; the loop terminates quickly
   // because the acceptance region covers at least half the range.
@@ -24,21 +16,6 @@ std::uint64_t Rng::NextBelow(std::uint64_t bound) {
 std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(NextBelow(span));
-}
-
-double Rng::NextDouble() {
-  // 53 high-quality bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::NextBool(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }

@@ -19,8 +19,15 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_(seed) {}
 
-  /// Next raw 64-bit value.
-  std::uint64_t Next();
+  /// Next raw 64-bit value. Inline, like NextDouble and NextBool:
+  /// Bernoulli schedule synthesis draws once per flow per cycle.
+  std::uint64_t Next() {
+    // SplitMix64 (Steele, Lea, Flood 2014). Public-domain constants.
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
 
   /// Uniform integer in [0, bound). \p bound must be > 0.
   std::uint64_t NextBelow(std::uint64_t bound);
@@ -29,10 +36,21 @@ class Rng {
   std::int64_t NextInRange(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high-quality bits -> double in [0, 1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability \p p (clamped to [0,1]).
-  bool NextBool(double p);
+  bool NextBool(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return NextDouble() < p;
+  }
 
   /// Fisher-Yates shuffle of \p items, deterministic given the seed.
   template <typename T>

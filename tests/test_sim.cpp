@@ -6,6 +6,7 @@
 #include "deadlock/removal.h"
 #include "test_helpers.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace nocdr {
 namespace {
@@ -305,6 +306,58 @@ TEST(SimEdgeCaseTest, SameSwitchFlowUsesLocalDelivery) {
   EXPECT_EQ(r.packets_delivered, 7u);
   EXPECT_EQ(r.stuck_flits, 0u);
   ExpectConsistentStats(d, r);
+}
+
+TEST(SimTest, BernoulliScheduleIsOneNextBoolPerFlowAndCycle) {
+  // The schedule takes its Bernoulli draws in integers, without a
+  // branch; it must pick exactly the cycles a NextBool(rate) per cycle
+  // on each flow's forked stream picks, at the rate edges too (no draw
+  // at all for rate <= 0 or >= 1).
+  NocDesign d;
+  const SwitchId a = d.topology.AddSwitch(), b = d.topology.AddSwitch();
+  const ChannelId ab = *d.topology.FindChannel(d.topology.AddLink(a, b), 0);
+  d.routes.Resize(0);
+  for (const double bandwidth :
+       {0.0, 1e-9, 3.0, 50.0, 100.0, 137.5, 199.0, 200.0, 250.0}) {
+    const CoreId src = d.traffic.AddCore(), dst = d.traffic.AddCore();
+    d.attachment.push_back(a);
+    d.attachment.push_back(b);
+    d.traffic.AddFlow(src, dst, bandwidth);
+  }
+  d.routes.Resize(d.traffic.FlowCount());
+  for (std::size_t i = 0; i < d.traffic.FlowCount(); ++i) {
+    d.routes.SetRoute(FlowId(i), {ab});
+  }
+  d.Validate();
+  TrafficConfig config;
+  config.mode = InjectionMode::kBernoulli;
+  config.reference_injection_rate = 1.0;  // rates 0 ... 1 and 1.25
+  config.reference_bandwidth = 200.0;
+  config.seed = 99;
+  const std::uint64_t horizon = 3000;  // crosses internal block edges
+  const TrafficSchedule schedule(d, config, horizon);
+
+  Rng rng(config.seed);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < d.traffic.FlowCount(); ++i) {
+    Rng flow_rng = rng.Fork();
+    const double rate =
+        config.reference_injection_rate *
+        (d.traffic.FlowAt(FlowId(i)).bandwidth_mbps /
+         config.reference_bandwidth);
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t cycle = 0; cycle < horizon; ++cycle) {
+      if (flow_rng.NextBool(rate)) {
+        expected.push_back(cycle);
+      }
+    }
+    const auto ready = schedule.ReadyCycles(FlowId(i));
+    EXPECT_EQ(std::vector<std::uint64_t>(ready.begin(), ready.end()),
+              expected)
+        << "flow " << i << " rate " << rate;
+    total += expected.size();
+  }
+  EXPECT_EQ(schedule.TotalPackets(), total);
 }
 
 TEST(SimTest, ThroughputBoundedByLinkBandwidth) {

@@ -6,7 +6,10 @@
 // holds the EventQueue's deterministic tie-break to its contract with a
 // seeded insertion-order fuzz test, and drives the event engine through
 // the adversarial corners (zero flows, single-flit worms, saturated
-// injection, simultaneous same-cycle events, a cycle-0 deadlock).
+// injection, simultaneous same-cycle events, a cycle-0 deadlock). The
+// worklist engines' bitset worklists and parked blocked heads get their
+// own cases: saturated runs at buffer depths 1 and 2, channel and flow
+// counts on 64-bit word edges, and the bitset visit order itself.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -16,9 +19,11 @@
 #include <gtest/gtest.h>
 
 #include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/transition.h"
+#include "sim/work_set.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "valid/campaign.h"
@@ -374,6 +379,218 @@ TEST(SimEnginesEdgeTest, DeadlockOnCycleZero) {
     EXPECT_TRUE(r.deadlocked);
     EXPECT_EQ(r.cycles, 0u);
     EXPECT_FALSE(r.deadlock_cycle.empty());
+  }
+}
+
+// ---------------------------------------------------------------------
+// Saturation: most heads and most armed flows are blocked, so the
+// worklist engines park them on the channel they wait for and skip them
+// until that channel pops a flit. Every parked claim must be one the
+// full scan would have retried and lost.
+// ---------------------------------------------------------------------
+
+/// Bernoulli traffic far above what the network delivers.
+SimConfig SaturatingConfig(std::uint16_t depth, std::uint16_t packet_length,
+                           bool inject_first) {
+  SimConfig config;
+  config.traffic.mode = InjectionMode::kBernoulli;
+  config.traffic.reference_injection_rate = 0.5;
+  config.traffic.packet_length = packet_length;
+  config.traffic.seed = 3;
+  config.buffer_depth = depth;
+  config.inject_first = inject_first;
+  config.max_cycles = 600;
+  config.stall_threshold = 300;
+  config.deadlock_check_interval = 64;
+  return config;
+}
+
+/// Runs \p design through every saturating shape: buffer depths 1 and
+/// 2, single-flit and multi-flit packets, both arbitration orders.
+void ExpectSaturatedEnginesAgree(const NocDesign& design,
+                                 const std::string& name) {
+  for (const std::uint16_t depth : {1, 2}) {
+    for (const std::uint16_t length : {1, 4}) {
+      for (const bool inject_first : {false, true}) {
+        const SimConfig config = SaturatingConfig(depth, length, inject_first);
+        ExpectEnginesAgree(design, config,
+                           name + "/depth" + std::to_string(depth) + "/len" +
+                               std::to_string(length) +
+                               (inject_first ? "/inject_first" : ""));
+      }
+    }
+  }
+}
+
+TEST(SimEnginesSaturationTest, ParkedHeadsThreeWayEquivalence) {
+  gen::GeneratorSpec spec;
+  spec.family = gen::TopologyFamily::kTorus2D;
+  spec.width = 4;
+  spec.height = 4;
+  spec.seed = 1;
+  const NocDesign torus = gen::GenerateStandardDesign(spec);
+  NocDesign treated_torus = torus;
+  RemoveDeadlocks(treated_torus);
+  NocDesign treated_ring = testing::MakeRingDesign(8, 3);
+  RemoveDeadlocks(treated_ring);
+  // The untreated designs deadlock under this load: the parked heads are
+  // then the very waits the circular-wait check must still see.
+  ExpectSaturatedEnginesAgree(torus, "torus4x4");
+  ExpectSaturatedEnginesAgree(treated_torus, "torus4x4/treated");
+  ExpectSaturatedEnginesAgree(testing::MakeRingDesign(8, 3), "ring8");
+  ExpectSaturatedEnginesAgree(treated_ring, "ring8/treated");
+}
+
+/// A one-way line of \p channels links (so exactly \p channels channels
+/// and an acyclic CDG that never deadlocks) carrying \p flows flows:
+/// flow i enters at switch i mod channels and runs 1 + i mod 3 hops,
+/// clipped at the end of the line. Bandwidths vary so the Bernoulli
+/// rates differ from flow to flow.
+NocDesign MakeLineDesign(std::size_t channels, std::size_t flows) {
+  NocDesign d;
+  d.name = "line" + std::to_string(channels) + "x" + std::to_string(flows);
+  std::vector<SwitchId> switches;
+  for (std::size_t i = 0; i <= channels; ++i) {
+    switches.push_back(d.topology.AddSwitch());
+  }
+  std::vector<ChannelId> line;
+  for (std::size_t i = 0; i < channels; ++i) {
+    const LinkId link = d.topology.AddLink(switches[i], switches[i + 1]);
+    line.push_back(*d.topology.FindChannel(link, 0));
+  }
+  d.routes.Resize(0);
+  std::vector<Route> routes;
+  for (std::size_t i = 0; i < flows; ++i) {
+    const std::size_t start = i % channels;
+    const std::size_t hops = std::min(1 + i % 3, channels - start);
+    const CoreId src = d.traffic.AddCore();
+    const CoreId dst = d.traffic.AddCore();
+    d.attachment.push_back(switches[start]);
+    d.attachment.push_back(switches[start + hops]);
+    d.traffic.AddFlow(src, dst, 40.0 + 10.0 * static_cast<double>(i % 7));
+    routes.emplace_back(line.begin() + static_cast<std::ptrdiff_t>(start),
+                        line.begin() +
+                            static_cast<std::ptrdiff_t>(start + hops));
+  }
+  d.routes.Resize(flows);
+  for (std::size_t i = 0; i < flows; ++i) {
+    d.routes.SetRoute(FlowId(i), std::move(routes[i]));
+  }
+  d.Validate();
+  return d;
+}
+
+TEST(SimEnginesSaturationTest, WordEdgeSizesThreeWayEquivalence) {
+  // Channel and flow counts on either side of a 64-bit word, so the
+  // worklist bitsets end mid-word, exactly on a word, and one past it,
+  // and the rotating pivot (cycle mod count) crosses bit 0 and bit 63 of
+  // every word over the run.
+  for (const auto& [channels, flows] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {63, 65}, {64, 64}, {65, 63}, {128, 128}}) {
+    const NocDesign design = MakeLineDesign(channels, flows);
+    ASSERT_EQ(design.topology.ChannelCount(), channels);
+    ASSERT_EQ(design.traffic.FlowCount(), flows);
+    ExpectSaturatedEnginesAgree(design, design.name);
+    SimConfig fixed = EngineConfigs().front().second;
+    fixed.traffic.packet_length = 3;
+    ExpectEnginesAgree(design, fixed, design.name + "/fixed_count");
+  }
+}
+
+// ---------------------------------------------------------------------
+// WorkSet: the bitset visit must reproduce the sorted-list order the
+// worklists had — ascending from lower_bound(pivot), then wrapping
+// around to the ids below the pivot.
+// ---------------------------------------------------------------------
+
+std::vector<std::uint32_t> SortedListOrder(
+    const std::vector<std::uint32_t>& sorted, std::uint32_t pivot) {
+  const auto split = std::lower_bound(sorted.begin(), sorted.end(), pivot);
+  std::vector<std::uint32_t> order(split, sorted.end());
+  order.insert(order.end(), sorted.begin(), split);
+  return order;
+}
+
+TEST(WorkSetTest, VisitOrderMatchesSortedListPivotOrder) {
+  for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u,
+                              200u}) {
+    for (const double density : {0.0, 0.1, 0.5, 1.0}) {
+      Rng rng(n * 1000 + static_cast<std::uint64_t>(density * 10));
+      WorkSet set;
+      WorkSet skip;
+      set.Reset(n);
+      skip.Reset(n);
+      std::vector<std::uint32_t> members;
+      std::vector<std::uint32_t> live;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const bool in = rng.NextBool(density);
+        const bool skipped = rng.NextBool(0.2);
+        if (in) {
+          set.Insert(i);
+          members.push_back(i);
+        }
+        if (skipped) {
+          skip.Insert(i);
+        }
+        if (in && !skipped) {
+          live.push_back(i);
+        }
+      }
+      std::vector<std::uint32_t> ascending;
+      set.ForEach([&](std::uint32_t i) { ascending.push_back(i); });
+      EXPECT_EQ(ascending, members);
+
+      std::vector<std::size_t> pivots = {0, n - 1, n / 2,
+                                         rng.NextBelow(n)};
+      for (const std::size_t edge : {63u, 64u, 127u, 128u}) {
+        if (edge < n) {
+          pivots.push_back(edge);
+        }
+      }
+      for (const std::size_t pivot : pivots) {
+        std::vector<std::uint32_t> visited;
+        set.VisitFrom(pivot, skip,
+                      [&](std::uint32_t i) { visited.push_back(i); });
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " density=" + std::to_string(density) +
+                     " pivot=" + std::to_string(pivot));
+        EXPECT_EQ(visited,
+                  SortedListOrder(live, static_cast<std::uint32_t>(pivot)));
+      }
+    }
+  }
+}
+
+TEST(WorkSetTest, VisitMayEraseAndReinsertTheVisitedId) {
+  // The engines disarm a flow or park a channel from inside its own
+  // visit; that must neither reorder nor skip the rest of the visit.
+  const std::size_t n = 130;
+  WorkSet set;
+  WorkSet skip;
+  set.Reset(n);
+  skip.Reset(n);
+  std::vector<std::uint32_t> all;
+  for (std::uint32_t i = 0; i < n; i += 3) {
+    set.Insert(i);
+    all.push_back(i);
+  }
+  for (const std::size_t pivot : {0u, 63u, 64u, 100u}) {
+    std::vector<std::uint32_t> visited;
+    set.VisitFrom(pivot, skip, [&](std::uint32_t i) {
+      visited.push_back(i);
+      set.Erase(i);
+      skip.Insert(i);
+    });
+    EXPECT_EQ(visited,
+              SortedListOrder(all, static_cast<std::uint32_t>(pivot)));
+    std::size_t left = 0;
+    set.ForEach([&](std::uint32_t) { ++left; });
+    EXPECT_EQ(left, 0u);
+    for (const std::uint32_t i : all) {
+      set.Insert(i);
+    }
+    skip.Clear();
   }
 }
 

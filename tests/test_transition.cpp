@@ -1,8 +1,12 @@
 // Transition-simulation semantics: drain-and-restart loses nothing,
 // mid-flight drops exactly the packets the fault caught, and a
-// transition with nothing changed degenerates to a plain run.
+// transition with nothing changed degenerates to a plain run. Also
+// transitions that strike a saturated network, where the worklist
+// engines hold most heads and flows parked at the switch.
 #include <gtest/gtest.h>
 
+#include "deadlock/removal.h"
+#include "gen/generators.h"
 #include "noc/design.h"
 #include "sim/simulator.h"
 #include "sim/transition.h"
@@ -158,6 +162,119 @@ TEST(TransitionTest, EnginesAgreeAcrossTheTransition) {
       EXPECT_EQ(candidate.sim.flits_delivered, fullscan.sim.flits_delivered);
       EXPECT_EQ(candidate.packets_dropped, fullscan.packets_dropped);
       EXPECT_EQ(candidate.drain_cycles, fullscan.drain_cycles);
+    }
+  }
+}
+
+/// Every field of two transition results, the full SimResult included.
+void ExpectSameTransition(const TransitionResult& a,
+                          const TransitionResult& b) {
+  EXPECT_EQ(a.packets_dropped, b.packets_dropped);
+  EXPECT_EQ(a.drain_cycles, b.drain_cycles);
+  EXPECT_EQ(a.sim.cycles, b.sim.cycles);
+  EXPECT_EQ(a.sim.packets_offered, b.sim.packets_offered);
+  EXPECT_EQ(a.sim.packets_injected, b.sim.packets_injected);
+  EXPECT_EQ(a.sim.packets_delivered, b.sim.packets_delivered);
+  EXPECT_EQ(a.sim.flits_delivered, b.sim.flits_delivered);
+  EXPECT_EQ(a.sim.deadlocked, b.sim.deadlocked);
+  EXPECT_EQ(a.sim.deadlock_cycle, b.sim.deadlock_cycle);
+  EXPECT_EQ(a.sim.stuck_flits, b.sim.stuck_flits);
+  EXPECT_EQ(a.sim.avg_packet_latency, b.sim.avg_packet_latency);
+  EXPECT_EQ(a.sim.max_packet_latency, b.sim.max_packet_latency);
+  EXPECT_EQ(a.sim.channel_flits, b.sim.channel_flits);
+  ASSERT_EQ(a.sim.flows.size(), b.sim.flows.size());
+  for (std::size_t f = 0; f < a.sim.flows.size(); ++f) {
+    EXPECT_EQ(a.sim.flows[f].packets_delivered,
+              b.sim.flows[f].packets_delivered);
+    EXPECT_EQ(a.sim.flows[f].avg_latency, b.sim.flows[f].avg_latency);
+    EXPECT_EQ(a.sim.flows[f].max_latency, b.sim.flows[f].max_latency);
+  }
+}
+
+/// Runs \p config under the full scan and both worklist engines and
+/// requires identical results.
+void ExpectEnginesAgreeOnTransition(const NocDesign& post,
+                                    const RouteSet& pre_routes,
+                                    const std::vector<char>& dead,
+                                    TransitionConfig config,
+                                    const std::string& context) {
+  config.sim.engine = SimEngine::kFullScan;
+  const TransitionResult reference =
+      SimulateTransition(post, pre_routes, dead, config);
+  for (const SimEngine engine : {SimEngine::kWorklist, SimEngine::kEvent}) {
+    config.sim.engine = engine;
+    SCOPED_TRACE(context + " engine=" + EngineName(engine));
+    ExpectSameTransition(
+        reference, SimulateTransition(post, pre_routes, dead, config));
+  }
+}
+
+TEST(TransitionTest, SaturatedDetourWhileFlowsAreParked) {
+  // Both flows offer a packet every cycle and share their first channel
+  // under the pre-fault routes, so at any transition cycle one of them is
+  // parked on that channel and flow 0's heads wait on the doomed hop.
+  // The switch must wake the parked flow: drain-and-restart ends its
+  // injection suspension, and mid-flight moves flow 0 to the detour.
+  const DetourFixture fx = MakeDetourFixture();
+  for (const TransitionPolicy policy :
+       {TransitionPolicy::kDrainAndRestart, TransitionPolicy::kMidFlight}) {
+    for (const std::uint64_t transition_cycle : {3ull, 10ull, 11ull, 57ull}) {
+      for (const std::uint16_t depth : {1, 2}) {
+        TransitionConfig config = MakeConfig(policy, transition_cycle);
+        config.sim.traffic.mode = InjectionMode::kBernoulli;
+        config.sim.traffic.reference_injection_rate = 1.0;
+        config.sim.max_cycles = 400;
+        config.sim.buffer_depth = depth;
+        ExpectEnginesAgreeOnTransition(
+            fx.design, fx.pre_routes, fx.dead, config,
+            "policy=" + std::to_string(static_cast<int>(policy)) +
+                " cycle=" + std::to_string(transition_cycle) +
+                " depth=" + std::to_string(depth));
+      }
+    }
+  }
+}
+
+TEST(TransitionTest, SaturatedTorusTransitionsMatchFullScan) {
+  // A saturated torus 4x4 moving from its deadlock-prone routes to the
+  // treated ones, with a fifth of the channels dead: worms of both route
+  // generations and many parked heads and flows meet at the switch.
+  gen::GeneratorSpec spec;
+  spec.family = gen::TopologyFamily::kTorus2D;
+  spec.width = 4;
+  spec.height = 4;
+  spec.seed = 1;
+  const NocDesign pre = gen::GenerateStandardDesign(spec);
+  NocDesign post = pre;
+  RemoveDeadlocks(post);
+  std::vector<char> dead(post.topology.ChannelCount(), 0);
+  for (std::size_t c = 0; c < dead.size(); c += 5) {
+    dead[c] = 1;
+  }
+  for (const TransitionPolicy policy :
+       {TransitionPolicy::kDrainAndRestart, TransitionPolicy::kMidFlight}) {
+    for (const std::uint64_t transition_cycle : {5ull, 40ull, 150ull}) {
+      for (const std::uint16_t depth : {1, 2}) {
+        for (const bool inject_first : {false, true}) {
+          TransitionConfig config;
+          config.policy = policy;
+          config.transition_cycle = transition_cycle;
+          config.sim.buffer_depth = depth;
+          config.sim.inject_first = inject_first;
+          config.sim.traffic.mode = InjectionMode::kBernoulli;
+          config.sim.traffic.reference_injection_rate = 0.5;
+          config.sim.traffic.packet_length = 4;
+          config.sim.max_cycles = 800;
+          config.sim.stall_threshold = 300;
+          config.sim.deadlock_check_interval = 64;
+          ExpectEnginesAgreeOnTransition(
+              post, pre.routes, dead, config,
+              "policy=" + std::to_string(static_cast<int>(policy)) +
+                  " cycle=" + std::to_string(transition_cycle) +
+                  " depth=" + std::to_string(depth) +
+                  (inject_first ? " inject_first" : ""));
+        }
+      }
     }
   }
 }

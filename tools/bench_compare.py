@@ -11,8 +11,8 @@ bench/baselines/ with per-metric tolerance classes:
   * integer count fields          -> exact match (same reason: VC counts,
                                      iterations, switch/link/flow counts
                                      and digests are seed-deterministic)
-  * wall-clock fields (*_ms)      -> ignored by default; opt in with
-                                     --time-tolerance R to fail when
+  * wall-clock fields (*_ms,       -> ignored by default; opt in with
+    *_ms_per_<unit>)                 --time-tolerance R to fail when
                                      fresh > baseline * (1 + R)
   * speedup fields (speedup*)     -> ratio gate: fail when
                                      fresh < baseline * (1 - R), default
@@ -57,7 +57,14 @@ IGNORED_KEYS = {"bench"}  # writer metadata, not a metric
 
 
 def is_time_metric(key: str) -> bool:
-    return key.endswith("_ms")
+    """Wall-clock milliseconds: totals (*_ms) and rates (*_ms_per_burst).
+
+    Gated one-sided and only on request (--time-tolerance): getting
+    slower than baseline*(1+R) fails, getting faster passes. A rate
+    like serve_sessions' session_ms_per_burst is as much host wall clock
+    as a total, so it must not fall through to the two-sided float rule.
+    """
+    return key.endswith("_ms") or "_ms_per_" in key
 
 
 def is_speedup_metric(key: str) -> bool:

@@ -271,6 +271,27 @@ class ToleranceClasses(GateHarness):
         self.assertEqual(self.run_gate(), 0)
         self.assertEqual(self.run_gate(["--time-tolerance", "0.5"]), 1)
 
+    def test_wall_clock_rates_are_one_sided_time_metrics(self):
+        # serve_sessions' *_ms_per_burst fields are wall clock: ignored by
+        # default whichever way the host moved them, and under
+        # --time-tolerance only a slowdown fails.
+        base = self.row(session_ms_per_burst=4.0, stateless_ms_per_burst=8.0)
+        write_rows(self.baseline_dir / "BENCH_a.json", [base])
+        for factor, gated in ((0.4, 0), (1.2, 0), (2.0, 1)):
+            fresh = self.row(
+                session_ms_per_burst=4.0 * factor,
+                stateless_ms_per_burst=8.0 * factor,
+            )
+            write_rows(self.fresh_dir / "BENCH_a.json", [fresh])
+            self.assertEqual(self.run_gate(), 0)
+            self.assertEqual(
+                self.run_gate(["--time-tolerance", "0.25"]), gated
+            )
+        self.assertTrue(
+            bench_compare.is_time_metric("session_ms_per_burst")
+        )
+        self.assertFalse(bench_compare.is_time_metric("speedup"))
+
     def test_per_metric_override(self):
         write_rows(
             self.baseline_dir / "BENCH_a.json", [self.row(latency=10.0)]
