@@ -6,11 +6,12 @@
 // the quantities the paper plots: extra VCs, switch area, total power.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,14 +24,40 @@
 #include "soc/benchmarks.h"
 #include "synth/synthesizer.h"
 #include "test_support_designs.h"
+#include "util/clock.h"
 
 namespace nocdr::bench {
 
-/// Milliseconds elapsed since \p start.
-inline double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+using ::nocdr::MillisSince;
+
+/// Outcome of CheckThreadDeterminism.
+struct DeterminismCheck {
+  bool match = true;
+  /// The digest every rerun was compared with.
+  std::uint64_t reference = 0;
+};
+
+/// The --check-determinism pass of the campaign benches: reruns the
+/// campaign at 1 and 3 worker threads through \p digest_at(threads) and
+/// compares each rerun's digest with \p reference — or, without one,
+/// with the 1-thread rerun. Prints one line per rerun, digests in hex.
+inline DeterminismCheck CheckThreadDeterminism(
+    const std::function<std::uint64_t(std::size_t)>& digest_at,
+    std::optional<std::uint64_t> reference = std::nullopt) {
+  DeterminismCheck check;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const std::uint64_t digest = digest_at(threads);
+    if (!reference.has_value()) {
+      reference = digest;
+    }
+    const bool match = digest == *reference;
+    check.match = check.match && match;
+    std::cout << "determinism check (" << threads << " threads): digest "
+              << std::hex << digest << std::dec
+              << (match ? " OK" : " MISMATCH (bug!)") << "\n";
+  }
+  check.reference = *reference;
+  return check;
 }
 
 /// Registration-based command-line parsing for the bench harnesses.

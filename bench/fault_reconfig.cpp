@@ -382,16 +382,13 @@ int main(int argc, char** argv) {
   // Thread-count determinism: the digest must not depend on scheduling.
   bool deterministic = true;
   if (opts.check_determinism) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      valid::FaultCampaignConfig alt = opts.campaign;
+    valid::FaultCampaignConfig alt = opts.campaign;
+    const auto digest_at = [&](std::size_t threads) {
       alt.threads = threads;
-      const valid::FaultCampaignResult rerun = valid::RunFaultCampaign(alt);
-      const bool match = rerun.digest == result.digest;
-      deterministic = deterministic && match;
-      std::cout << "determinism check (" << threads << " threads): digest "
-                << std::hex << rerun.digest << std::dec
-                << (match ? " OK" : " MISMATCH (bug!)") << "\n";
-    }
+      return valid::RunFaultCampaign(alt).digest;
+    };
+    deterministic =
+        bench::CheckThreadDeterminism(digest_at, result.digest).match;
   }
 
   bool perf_mismatch = false;

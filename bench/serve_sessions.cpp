@@ -329,8 +329,8 @@ int main(int argc, char** argv) {
   std::cout << campaign.streamed << " streamed / " << campaign.disconnected
             << " disconnected / " << campaign.mismatches << " mismatches; "
             << epochs << " epochs advanced, " << events_unnamed
-            << " events unnamed; digest " << campaign.digest << " ("
-            << FormatDouble(campaign_ms, 0) << " ms)\n";
+            << " events unnamed; digest " << std::hex << campaign.digest
+            << std::dec << " (" << FormatDouble(campaign_ms, 0) << " ms)\n";
   json.AddRow(JsonObject()
                   .Set("section", "session_campaign")
                   .Set("trials", campaign.rows.size())
@@ -347,27 +347,18 @@ int main(int argc, char** argv) {
   if (opts.check_determinism) {
     valid::SessionCampaignConfig slice = config;
     slice.trials = std::max<std::size_t>(10, opts.trials / 5);
-    std::uint64_t reference = 0;
-    bool deterministic = true;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const auto digest_at = [&](std::size_t threads) {
       slice.threads = threads;
-      const std::uint64_t digest =
-          valid::RunSessionCampaign(slice).digest;
-      if (threads == 1) {
-        reference = digest;
-      }
-      const bool match = digest == reference;
-      deterministic = deterministic && match;
-      std::cout << "determinism check (" << threads
-                << " threads): digest " << digest
-                << (match ? " OK" : " MISMATCH (bug!)") << "\n";
-    }
+      return valid::RunSessionCampaign(slice).digest;
+    };
+    const bench::DeterminismCheck check =
+        bench::CheckThreadDeterminism(digest_at);
     json.AddRow(JsonObject()
                     .Set("section", "session_determinism")
                     .Set("trials", slice.trials)
-                    .Set("digest", reference)
-                    .Set("digests_match", deterministic));
-    failed = failed || !deterministic;
+                    .Set("digest", check.reference)
+                    .Set("digests_match", check.match));
+    failed = failed || !check.match;
   }
 
   // ---- the session-delta ladder ----

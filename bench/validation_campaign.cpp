@@ -381,16 +381,13 @@ int main(int argc, char** argv) {
   // Thread-count determinism: the digest must not depend on scheduling.
   bool deterministic = true;
   if (opts.check_determinism) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      valid::CampaignConfig alt = opts.campaign;
+    valid::CampaignConfig alt = opts.campaign;
+    const auto digest_at = [&](std::size_t threads) {
       alt.threads = threads;
-      const valid::CampaignResult rerun = valid::RunCampaign(alt);
-      const bool match = rerun.digest == result.digest;
-      deterministic = deterministic && match;
-      std::cout << "determinism check (" << threads << " threads): digest "
-                << std::hex << rerun.digest << std::dec
-                << (match ? " OK" : " MISMATCH (bug!)") << "\n";
-    }
+      return valid::RunCampaign(alt).digest;
+    };
+    deterministic =
+        bench::CheckThreadDeterminism(digest_at, result.digest).match;
   }
 
   double speedup = 0.0;

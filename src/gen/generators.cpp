@@ -346,62 +346,6 @@ void GenerateNeighbor(CommunicationGraph& traffic, const PatternContext& ctx,
 
 }  // namespace
 
-std::vector<TopologyFamily> AllFamilies() {
-  return {TopologyFamily::kMesh2D, TopologyFamily::kTorus2D,
-          TopologyFamily::kRing, TopologyFamily::kFatTree};
-}
-
-std::string FamilyName(TopologyFamily family) {
-  switch (family) {
-    case TopologyFamily::kMesh2D:
-      return "mesh";
-    case TopologyFamily::kTorus2D:
-      return "torus";
-    case TopologyFamily::kRing:
-      return "ring";
-    case TopologyFamily::kFatTree:
-      return "fat_tree";
-  }
-  return "unknown";
-}
-
-std::optional<TopologyFamily> ParseFamily(const std::string& name) {
-  for (const TopologyFamily family : AllFamilies()) {
-    if (FamilyName(family) == name) {
-      return family;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<TrafficPattern> AllPatterns() {
-  return {TrafficPattern::kUniform, TrafficPattern::kTranspose,
-          TrafficPattern::kHotspot, TrafficPattern::kNeighbor};
-}
-
-std::string PatternName(TrafficPattern pattern) {
-  switch (pattern) {
-    case TrafficPattern::kUniform:
-      return "uniform";
-    case TrafficPattern::kTranspose:
-      return "transpose";
-    case TrafficPattern::kHotspot:
-      return "hotspot";
-    case TrafficPattern::kNeighbor:
-      return "neighbor";
-  }
-  return "unknown";
-}
-
-std::optional<TrafficPattern> ParsePattern(const std::string& name) {
-  for (const TrafficPattern pattern : AllPatterns()) {
-    if (PatternName(pattern) == name) {
-      return pattern;
-    }
-  }
-  return std::nullopt;
-}
-
 GeneratedTopology BuildFamilyTopology(const GeneratorSpec& spec) {
   GeneratedTopology out;
   switch (spec.family) {

@@ -33,6 +33,7 @@
 
 #include "noc/design.h"
 #include "synth/route_builder.h"
+#include "util/enum_names.h"
 
 namespace nocdr::gen {
 
@@ -43,14 +44,21 @@ enum class TopologyFamily {
   kFatTree,
 };
 
-/// All families, in the fixed sweep order.
-std::vector<TopologyFamily> AllFamilies();
+/// Stable lowercase family names, in the fixed sweep order.
+inline constexpr auto kFamilyNames = MakeEnumTable<TopologyFamily>({
+    {TopologyFamily::kMesh2D, "mesh"},
+    {TopologyFamily::kTorus2D, "torus"},
+    {TopologyFamily::kRing, "ring"},
+    {TopologyFamily::kFatTree, "fat_tree"},
+});
 
-/// Stable lowercase identifier ("mesh", "torus", "ring", "fat_tree").
-std::string FamilyName(TopologyFamily family);
-
-/// Inverse of FamilyName; nullopt for unknown names.
-std::optional<TopologyFamily> ParseFamily(const std::string& name);
+inline std::vector<TopologyFamily> AllFamilies() { return kFamilyNames.All(); }
+inline std::string FamilyName(TopologyFamily family) {
+  return kFamilyNames.Name(family);
+}
+inline std::optional<TopologyFamily> ParseFamily(const std::string& name) {
+  return kFamilyNames.Parse(name);
+}
 
 /// Synthetic traffic-pattern matrix applied over the attached cores.
 enum class TrafficPattern {
@@ -69,14 +77,21 @@ enum class TrafficPattern {
   kNeighbor,
 };
 
-/// All patterns, in the fixed sweep order.
-std::vector<TrafficPattern> AllPatterns();
+/// Stable lowercase pattern names, in the fixed sweep order.
+inline constexpr auto kPatternNames = MakeEnumTable<TrafficPattern>({
+    {TrafficPattern::kUniform, "uniform"},
+    {TrafficPattern::kTranspose, "transpose"},
+    {TrafficPattern::kHotspot, "hotspot"},
+    {TrafficPattern::kNeighbor, "neighbor"},
+});
 
-/// Stable lowercase identifier ("uniform", "transpose", ...).
-std::string PatternName(TrafficPattern pattern);
-
-/// Inverse of PatternName; nullopt for unknown names.
-std::optional<TrafficPattern> ParsePattern(const std::string& name);
+inline std::vector<TrafficPattern> AllPatterns() { return kPatternNames.All(); }
+inline std::string PatternName(TrafficPattern pattern) {
+  return kPatternNames.Name(pattern);
+}
+inline std::optional<TrafficPattern> ParsePattern(const std::string& name) {
+  return kPatternNames.Parse(name);
+}
 
 /// Full parameterization of one generated design. Only the fields of
 /// the selected family are read (e.g. ring_nodes is ignored for a mesh).

@@ -153,21 +153,15 @@ JsonObject GaugesToJson(const MetricsSnapshot& snapshot) {
 JsonObject HistogramToJson(const HistogramSnapshot& snapshot) {
   JsonObject json;
   json.Set("count", snapshot.count).Set("sum", snapshot.sum);
-  std::string buckets = "[";
-  bool first = true;
+  std::vector<std::string> buckets;
   for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    if (snapshot.buckets[i] == 0) {
-      continue;
+    if (snapshot.buckets[i] != 0) {
+      const std::string bound = std::to_string(Histogram::BucketUpperBound(i));
+      buckets.push_back(
+          JsonArray({bound, std::to_string(snapshot.buckets[i])}));
     }
-    if (!first) {
-      buckets += ",";
-    }
-    first = false;
-    buckets += "[" + std::to_string(Histogram::BucketUpperBound(i)) + "," +
-               std::to_string(snapshot.buckets[i]) + "]";
   }
-  buckets += "]";
-  json.SetRaw("buckets", buckets);
+  json.SetRaw("buckets", JsonArray(buckets));
   return json;
 }
 

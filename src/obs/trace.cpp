@@ -52,19 +52,13 @@ bool IsReservedSpanKey(const std::string& key) {
 
 }  // namespace
 
-std::string TraceClockName(TraceClockMode mode) {
-  return mode == TraceClockMode::kLogical ? "logical" : "wall";
-}
-
 TraceClockMode ParseTraceClock(const std::string& name) {
-  if (name == "logical") {
-    return TraceClockMode::kLogical;
-  }
-  if (name == "wall") {
-    return TraceClockMode::kWall;
-  }
-  throw InvalidModelError("ParseTraceClock: unknown clock \"" + name +
-                          "\" (want \"logical\" or \"wall\")");
+  const auto mode = kTraceClockNames.Parse(name);
+  Require(mode.has_value(), [&] {
+    return "ParseTraceClock: unknown clock \"" + name +
+           "\" (want \"logical\" or \"wall\")";
+  });
+  return *mode;
 }
 
 TraceSink::TraceSink(TraceClockMode clock)

@@ -63,6 +63,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/enum_names.h"
+
 namespace nocdr::obs {
 
 inline constexpr int kTraceSchemaVersion = 1;
@@ -72,10 +74,18 @@ enum class TraceClockMode {
   kWall,     // microseconds since sink construction; real latencies
 };
 
-/// Stable names ("logical" / "wall") and their inverse; the header
-/// line carries the name. ParseTraceClock throws InvalidModelError on
-/// an unknown name.
-std::string TraceClockName(TraceClockMode mode);
+/// Stable names; the header line carries the name.
+inline constexpr auto kTraceClockNames = MakeEnumTable<TraceClockMode>({
+    {TraceClockMode::kLogical, "logical"},
+    {TraceClockMode::kWall, "wall"},
+});
+
+inline std::string TraceClockName(TraceClockMode mode) {
+  return kTraceClockNames.Name(mode);
+}
+
+/// Inverse of TraceClockName; throws InvalidModelError on an unknown
+/// name.
 TraceClockMode ParseTraceClock(const std::string& name);
 
 /// One attribute on a span: string or uint64.

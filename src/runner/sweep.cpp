@@ -5,17 +5,11 @@
 
 #include "deadlock/resource_ordering.h"
 #include "runner/parallel_map.h"
-#include "util/digest.h"
+#include "util/clock.h"
 
 namespace nocdr::runner {
 
 namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 SweepRow RunJob(const SweepJob& job, std::size_t job_index,
                 std::uint64_t base_seed) {
@@ -63,51 +57,6 @@ std::uint64_t JobSeed(std::uint64_t base_seed, std::size_t job_index) {
   const std::uint64_t mixed_index =
       Rng(static_cast<std::uint64_t>(job_index)).Next();
   return Rng(base_seed ^ mixed_index).Next();
-}
-
-std::uint64_t Digest(const std::vector<SweepRow>& rows) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const SweepRow& row : rows) {
-    DigestField(h, row.job_index);
-    DigestField(h, row.design);
-    DigestField(h, row.variant);
-    DigestField(h, row.seed);
-    DigestField(h, row.switches);
-    DigestField(h, row.links);
-    DigestField(h, row.flows);
-    DigestField(h, row.channels);
-    DigestField(h, static_cast<std::uint64_t>(row.initially_deadlock_free));
-    DigestField(h, row.iterations);
-    DigestField(h, row.vcs_added);
-    DigestField(h, row.flows_rerouted);
-    DigestField(h, row.cycle_bfs_runs);
-    DigestField(h, static_cast<std::uint64_t>(row.deadlock_free));
-    DigestField(h, row.error);
-  }
-  return h;
-}
-
-JsonObject RowToJson(const SweepRow& row) {
-  JsonObject json;
-  json.Set("design", row.design)
-      .Set("variant", row.variant)
-      .Set("seed", row.seed)
-      .Set("switches", row.switches)
-      .Set("links", row.links)
-      .Set("flows", row.flows)
-      .Set("channels", row.channels)
-      .Set("initially_deadlock_free", row.initially_deadlock_free)
-      .Set("iterations", row.iterations)
-      .Set("vcs_added", row.vcs_added)
-      .Set("flows_rerouted", row.flows_rerouted)
-      .Set("cycle_bfs_runs", row.cycle_bfs_runs)
-      .Set("deadlock_free", row.deadlock_free)
-      .Set("factory_ms", row.factory_ms)
-      .Set("run_ms", row.run_ms);
-  if (!row.error.empty()) {
-    json.Set("error", row.error);
-  }
-  return json;
 }
 
 SweepRunner::SweepRunner(SweepConfig config) : config_(config) {}

@@ -22,6 +22,7 @@
 #include "deadlock/removal.h"
 #include "noc/design.h"
 #include "util/json.h"
+#include "util/row_schema.h"
 #include "util/rng.h"
 
 namespace nocdr::runner {
@@ -72,6 +73,29 @@ struct SweepRow {
   // Wall-clock (excluded from Digest and from determinism guarantees).
   double factory_ms = 0.0;
   double run_ms = 0.0;
+
+  /// The row schema (util/row_schema.h).
+  template <typename Visitor>
+  void VisitFields(Visitor& v) const {
+    using namespace schema;
+    v("job_index", job_index, kDigestOnly);
+    v("design", design);
+    v("variant", variant);
+    v("seed", seed);
+    v("switches", switches);
+    v("links", links);
+    v("flows", flows);
+    v("channels", channels);
+    v("initially_deadlock_free", initially_deadlock_free);
+    v("iterations", iterations);
+    v("vcs_added", vcs_added);
+    v("flows_rerouted", flows_rerouted);
+    v("cycle_bfs_runs", cycle_bfs_runs);
+    v("deadlock_free", deadlock_free);
+    v("factory_ms", factory_ms);
+    v("run_ms", run_ms);
+    v("error", error, kFailureText);
+  }
 };
 
 struct SweepConfig {
@@ -86,10 +110,14 @@ struct SweepConfig {
 std::uint64_t JobSeed(std::uint64_t base_seed, std::size_t job_index);
 
 /// FNV-1a digest over the deterministic fields of \p rows, in row order.
-std::uint64_t Digest(const std::vector<SweepRow>& rows);
+inline std::uint64_t Digest(const std::vector<SweepRow>& rows) {
+  return schema::RowsDigest(rows);
+}
 
 /// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject RowToJson(const SweepRow& row);
+inline JsonObject RowToJson(const SweepRow& row) {
+  return schema::RowJson(row);
+}
 
 /// Executes job batches on an internal thread pool.
 class SweepRunner {

@@ -39,41 +39,6 @@ double ExpDraw(Rng& rng, double rate_per_us) {
 
 }  // namespace
 
-std::string ArrivalKindName(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kPoisson:
-      return "poisson";
-    case ArrivalKind::kBursty:
-      return "bursty";
-  }
-  return "unknown";
-}
-
-std::optional<ArrivalKind> ParseArrivalKind(const std::string& name) {
-  for (const ArrivalKind kind : AllArrivalKinds()) {
-    if (ArrivalKindName(kind) == name) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<ArrivalKind> AllArrivalKinds() {
-  return {ArrivalKind::kPoisson, ArrivalKind::kBursty};
-}
-
-std::string VerdictName(Verdict verdict) {
-  switch (verdict) {
-    case Verdict::kServed:
-      return "served";
-    case Verdict::kRejectedTokens:
-      return "rejected_tokens";
-    case Verdict::kRejectedQueue:
-      return "rejected_queue";
-  }
-  return "unknown";
-}
-
 std::vector<TraceItem> GenerateTrace(const ArrivalConfig& arrival,
                                      std::size_t count,
                                      std::size_t corpus_size,

@@ -47,6 +47,7 @@
 #include "serve/sched.h"
 #include "serve/service.h"
 #include "serve/session.h"
+#include "util/enum_names.h"
 
 namespace nocdr::serve::load {
 
@@ -55,10 +56,20 @@ enum class ArrivalKind {
   kBursty,   // MMPP-2: seeded burst / idle phases
 };
 
-/// Stable names: "poisson" / "bursty".
-std::string ArrivalKindName(ArrivalKind kind);
-std::optional<ArrivalKind> ParseArrivalKind(const std::string& name);
-std::vector<ArrivalKind> AllArrivalKinds();
+inline constexpr auto kArrivalKindNames = MakeEnumTable<ArrivalKind>({
+    {ArrivalKind::kPoisson, "poisson"},
+    {ArrivalKind::kBursty, "bursty"},
+});
+
+inline std::string ArrivalKindName(ArrivalKind kind) {
+  return kArrivalKindNames.Name(kind);
+}
+inline std::optional<ArrivalKind> ParseArrivalKind(const std::string& name) {
+  return kArrivalKindNames.Parse(name);
+}
+inline std::vector<ArrivalKind> AllArrivalKinds() {
+  return kArrivalKindNames.All();
+}
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;
@@ -125,8 +136,15 @@ enum class Verdict {
   kRejectedQueue,   // no free server and the ready queue was full
 };
 
-/// Stable names: "served" / "rejected_tokens" / "rejected_queue".
-std::string VerdictName(Verdict verdict);
+inline constexpr auto kVerdictNames = MakeEnumTable<Verdict>({
+    {Verdict::kServed, "served"},
+    {Verdict::kRejectedTokens, "rejected_tokens"},
+    {Verdict::kRejectedQueue, "rejected_queue"},
+});
+
+inline std::string VerdictName(Verdict verdict) {
+  return kVerdictNames.Name(verdict);
+}
 
 /// What happened to one trace item, on the virtual timeline. Latency
 /// (done - arrival) and wait (start - arrival) are derived.

@@ -10,103 +10,43 @@ namespace nocdr::serve {
 
 namespace {
 
-std::string CyclePolicyName(CyclePolicy policy) {
-  switch (policy) {
-    case CyclePolicy::kSmallestFirst:
-      return "smallest_first";
-    case CyclePolicy::kFirstFound:
-      return "first_found";
-    case CyclePolicy::kLargestFirst:
-      return "largest_first";
+/// The value \p table names for the options field \p field, if \p json
+/// carries it; throws on a name the table does not know.
+template <typename E, std::size_t N>
+void ParseOption(const JsonValue& json, const char* field,
+                 const EnumTable<E, N>& table, E& target) {
+  if (const JsonValue* value = json.Find(field)) {
+    const std::string& name = value->AsString();
+    const auto parsed = table.Parse(name);
+    Require(parsed.has_value(), [&] {
+      return "ParseRequestLine: unknown " + std::string(field) + " \"" + name +
+             "\"";
+    });
+    target = *parsed;
   }
-  return "unknown";
-}
-
-CyclePolicy ParseCyclePolicy(const std::string& name) {
-  for (const CyclePolicy policy :
-       {CyclePolicy::kSmallestFirst, CyclePolicy::kFirstFound,
-        CyclePolicy::kLargestFirst}) {
-    if (CyclePolicyName(policy) == name) {
-      return policy;
-    }
-  }
-  throw InvalidModelError("ParseRequestLine: unknown cycle_policy \"" + name +
-                          "\"");
-}
-
-std::string DirectionName(DirectionPolicy policy) {
-  switch (policy) {
-    case DirectionPolicy::kBoth:
-      return "both";
-    case DirectionPolicy::kForwardOnly:
-      return "forward_only";
-    case DirectionPolicy::kBackwardOnly:
-      return "backward_only";
-  }
-  return "unknown";
-}
-
-DirectionPolicy ParseDirection(const std::string& name) {
-  for (const DirectionPolicy policy :
-       {DirectionPolicy::kBoth, DirectionPolicy::kForwardOnly,
-        DirectionPolicy::kBackwardOnly}) {
-    if (DirectionName(policy) == name) {
-      return policy;
-    }
-  }
-  throw InvalidModelError("ParseRequestLine: unknown direction \"" + name +
-                          "\"");
-}
-
-std::string EngineName(RemovalEngine engine) {
-  return engine == RemovalEngine::kIncremental ? "incremental" : "rebuild";
-}
-
-RemovalEngine ParseEngine(const std::string& name) {
-  if (name == "incremental") {
-    return RemovalEngine::kIncremental;
-  }
-  if (name == "rebuild") {
-    return RemovalEngine::kRebuild;
-  }
-  throw InvalidModelError("ParseRequestLine: unknown engine \"" + name +
-                          "\"");
-}
-
-std::string DuplicationName(DuplicationMode mode) {
-  return mode == DuplicationMode::kVirtualChannel ? "virtual_channel"
-                                                  : "physical_link";
-}
-
-DuplicationMode ParseDuplication(const std::string& name) {
-  if (name == "virtual_channel") {
-    return DuplicationMode::kVirtualChannel;
-  }
-  if (name == "physical_link") {
-    return DuplicationMode::kPhysicalLink;
-  }
-  throw InvalidModelError("ParseRequestLine: unknown duplication \"" + name +
-                          "\"");
 }
 
 RemovalOptions ParseOptions(const JsonValue& json) {
   RemovalOptions options;
-  if (const JsonValue* value = json.Find("cycle_policy")) {
-    options.cycle_policy = ParseCyclePolicy(value->AsString());
-  }
-  if (const JsonValue* value = json.Find("direction")) {
-    options.direction_policy = ParseDirection(value->AsString());
-  }
-  if (const JsonValue* value = json.Find("engine")) {
-    options.engine = ParseEngine(value->AsString());
-  }
-  if (const JsonValue* value = json.Find("duplication")) {
-    options.duplication = ParseDuplication(value->AsString());
-  }
+  ParseOption(json, "cycle_policy", kCyclePolicyNames, options.cycle_policy);
+  ParseOption(json, "direction", kDirectionNames, options.direction_policy);
+  ParseOption(json, "engine", kRemovalEngineNames, options.engine);
+  ParseOption(json, "duplication", kDuplicationNames, options.duplication);
   if (const JsonValue* value = json.Find("max_iterations")) {
     options.max_iterations = value->AsUint();
   }
   return options;
+}
+
+/// Renders \p options (inverse of ParseOptions).
+std::string OptionsToJson(const RemovalOptions& options) {
+  JsonObject json;
+  json.Set("cycle_policy", kCyclePolicyNames.Name(options.cycle_policy))
+      .Set("direction", kDirectionNames.Name(options.direction_policy))
+      .Set("engine", kRemovalEngineNames.Name(options.engine))
+      .Set("duplication", kDuplicationNames.Name(options.duplication))
+      .Set("max_iterations", options.max_iterations);
+  return json.Dump();
 }
 
 gen::GeneratorSpec ParseGenerator(const JsonValue& json) {
@@ -173,10 +113,44 @@ JsonObject CacheStatsToJson(const CacheStats& stats) {
   return json;
 }
 
+/// The head of every typed v2 line: version, type and the id, if set.
+JsonObject TypedHead(int protocol_version, const char* type,
+                     const std::string& id) {
+  JsonObject json;
+  json.Set("protocol_version", protocol_version).Set("type", type);
+  if (!id.empty()) {
+    json.Set("id", id);
+  }
+  return json;
+}
+
+/// Renders the \p type response \p line through \p render(json); any
+/// failure, including a line of another type, becomes
+/// ProtocolError(kInvalidRequest).
+template <typename Render>
+std::string TextFromResponse(const std::string& line, const char* type,
+                             const char* caller, Render&& render) {
+  try {
+    const JsonValue json = JsonValue::Parse(line);
+    const JsonValue* found = json.Find("type");
+    if (found == nullptr || found->AsString() != type) {
+      throw ProtocolError(ErrorCode::kInvalidRequest,
+                          std::string(caller) + ": not a " + type +
+                              " response line");
+    }
+    return render(json);
+  } catch (const ProtocolError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
+  }
+}
+
 /// The {"code":...,"message":...} object every failure response embeds.
 JsonObject ErrorToJson(const ErrorInfo& error) {
   JsonObject json;
-  json.Set("code", ErrorCodeName(error.code)).Set("message", error.message);
+  json.Set("code", kErrorCodeNames.Name(error.code))
+      .Set("message", error.message);
   return json;
 }
 
@@ -270,18 +244,19 @@ CertRequest ParseCertify(const JsonValue& json, int protocol_version) {
 
 SessionEventSpec ParseEvent(const JsonValue& json) {
   SessionEventSpec event;
-  const std::string kind = json.At("kind").AsString();
-  if (kind == "link") {
-    event.kind = fault::FaultKind::kLink;
-    event.src = json.At("src").AsString();
-    event.dst = json.At("dst").AsString();
-  } else if (kind == "switch") {
-    event.kind = fault::FaultKind::kSwitch;
-    event.switch_name = json.At("switch").AsString();
-  } else {
+  const std::string& kind = json.At("kind").AsString();
+  const auto parsed = kFaultKindNames.Parse(kind);
+  if (!parsed.has_value()) {
     throw ProtocolError(ErrorCode::kInvalidRequest,
                         "ParseMessageLine: unknown event kind \"" + kind +
                             "\" (want \"link\" or \"switch\")");
+  }
+  event.kind = *parsed;
+  if (event.kind == fault::FaultKind::kLink) {
+    event.src = json.At("src").AsString();
+    event.dst = json.At("dst").AsString();
+  } else {
+    event.switch_name = json.At("switch").AsString();
   }
   return event;
 }
@@ -365,19 +340,13 @@ ServeMessage ParseMessageInner(const std::string& line) {
     }
     return message;
   }
-  message.is_session = true;
-  if (type == "session_open") {
-    message.session = ParseSession(json, SessionOp::kOpen, version);
-  } else if (type == "fault_burst") {
-    message.session = ParseSession(json, SessionOp::kBurst, version);
-  } else if (type == "session_snapshot") {
-    message.session = ParseSession(json, SessionOp::kSnapshot, version);
-  } else if (type == "session_close") {
-    message.session = ParseSession(json, SessionOp::kClose, version);
-  } else {
+  const auto op = kSessionOpNames.Parse(type);
+  if (!op.has_value()) {
     throw ProtocolError(ErrorCode::kUnknownType,
                         "unknown v2 message type \"" + type + "\"");
   }
+  message.is_session = true;
+  message.session = ParseSession(json, *op, version);
   return message;
 }
 
@@ -413,44 +382,12 @@ std::string RequestToJsonLine(const CertRequest& request) {
     json.Set("id", request.id);
   }
   DesignSpecToJson(request, json);
-  JsonObject options;
-  options.Set("cycle_policy", CyclePolicyName(request.options.cycle_policy))
-      .Set("direction", DirectionName(request.options.direction_policy))
-      .Set("engine", EngineName(request.options.engine))
-      .Set("duplication", DuplicationName(request.options.duplication))
-      .Set("max_iterations", request.options.max_iterations);
-  json.SetRaw("options", options.Dump());
+  json.SetRaw("options", OptionsToJson(request.options));
   json.Set("treat", request.treat).Set("return_design", request.return_design);
   if (!request.priority_class.empty()) {
     json.Set("class", request.priority_class);
   }
   return json.Dump();
-}
-
-std::string StatusName(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::kOk:
-      return "ok";
-    case ServeStatus::kOverloaded:
-      return "overloaded";
-    case ServeStatus::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
-std::string CacheOutcomeName(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kHit:
-      return "hit";
-    case CacheOutcome::kComputed:
-      return "computed";
-    case CacheOutcome::kCoalesced:
-      return "coalesced";
-    case CacheOutcome::kNone:
-      return "none";
-  }
-  return "unknown";
 }
 
 std::string ResponseToJsonLine(const CertResponse& response) {
@@ -459,10 +396,10 @@ std::string ResponseToJsonLine(const CertResponse& response) {
   if (!response.id.empty()) {
     json.Set("id", response.id);
   }
-  json.Set("status", StatusName(response.status));
+  json.Set("status", kStatusNames.Name(response.status));
   if (response.status != ServeStatus::kOk) {
     json.SetRaw("error", ErrorToJson(response.error).Dump());
-    json.Set("cache", CacheOutcomeName(response.cache_outcome))
+    json.Set("cache", kCacheOutcomeNames.Name(response.cache_outcome))
         .Set("service_ms", response.service_ms);
     return json.Dump();
   }
@@ -478,56 +415,26 @@ std::string ResponseToJsonLine(const CertResponse& response) {
   if (!response.treated_design_text.empty()) {
     json.Set("design", response.treated_design_text);
   }
-  json.Set("cache", CacheOutcomeName(response.cache_outcome))
+  json.Set("cache", kCacheOutcomeNames.Name(response.cache_outcome))
       .Set("service_ms", response.service_ms);
   return json.Dump();
 }
 
-std::string SessionOpName(SessionOp op) {
-  switch (op) {
-    case SessionOp::kOpen:
-      return "session_open";
-    case SessionOp::kBurst:
-      return "fault_burst";
-    case SessionOp::kSnapshot:
-      return "session_snapshot";
-    case SessionOp::kClose:
-      return "session_close";
-  }
-  return "unknown";
-}
-
 ErrorCode ParseErrorCode(const std::string& name) {
-  for (const ErrorCode code :
-       {ErrorCode::kNone, ErrorCode::kInvalidRequest,
-        ErrorCode::kUnsupportedVersion, ErrorCode::kUnknownType,
-        ErrorCode::kUnknownSession, ErrorCode::kStaleEpoch,
-        ErrorCode::kSessionLimit, ErrorCode::kOverloaded,
-        ErrorCode::kComputeFailed, ErrorCode::kInternal}) {
-    if (ErrorCodeName(code) == name) {
-      return code;
-    }
+  const auto code = kErrorCodeNames.Parse(name);
+  if (!code.has_value()) {
+    throw ProtocolError(ErrorCode::kInvalidRequest,
+                        "unknown error code \"" + name + "\"");
   }
-  throw ProtocolError(ErrorCode::kInvalidRequest,
-                      "unknown error code \"" + name + "\"");
+  return *code;
 }
 
 std::string SessionRequestToJsonLine(const SessionRequest& request) {
-  JsonObject json;
-  json.Set("protocol_version", request.protocol_version)
-      .Set("type", SessionOpName(request.op));
-  if (!request.id.empty()) {
-    json.Set("id", request.id);
-  }
+  JsonObject json = TypedHead(request.protocol_version,
+                              kSessionOpNames.Name(request.op), request.id);
   if (request.op == SessionOp::kOpen) {
     DesignSpecToJson(request.spec, json);
-    JsonObject options;
-    options.Set("cycle_policy", CyclePolicyName(request.options.cycle_policy))
-        .Set("direction", DirectionName(request.options.direction_policy))
-        .Set("engine", EngineName(request.options.engine))
-        .Set("duplication", DuplicationName(request.options.duplication))
-        .Set("max_iterations", request.options.max_iterations);
-    json.SetRaw("options", options.Dump());
+    json.SetRaw("options", OptionsToJson(request.options));
   } else {
     json.Set("session", request.session_id);
   }
@@ -535,22 +442,18 @@ std::string SessionRequestToJsonLine(const SessionRequest& request) {
     if (request.has_expect_epoch) {
       json.Set("expect_epoch", request.expect_epoch);
     }
-    std::string events = "[";
-    for (std::size_t i = 0; i < request.events.size(); ++i) {
-      const SessionEventSpec& event = request.events[i];
+    std::vector<std::string> events;
+    for (const SessionEventSpec& event : request.events) {
       JsonObject item;
+      item.Set("kind", kFaultKindNames.Name(event.kind));
       if (event.kind == fault::FaultKind::kLink) {
-        item.Set("kind", "link").Set("src", event.src).Set("dst", event.dst);
+        item.Set("src", event.src).Set("dst", event.dst);
       } else {
-        item.Set("kind", "switch").Set("switch", event.switch_name);
+        item.Set("switch", event.switch_name);
       }
-      if (i != 0) {
-        events += ",";
-      }
-      events += item.Dump();
+      events.push_back(item.Dump());
     }
-    events += "]";
-    json.SetRaw("events", events);
+    json.SetRaw("events", JsonArray(events));
   }
   if (request.op == SessionOp::kOpen || request.op == SessionOp::kBurst) {
     json.Set("return_design", request.return_design);
@@ -559,16 +462,12 @@ std::string SessionRequestToJsonLine(const SessionRequest& request) {
 }
 
 std::string SessionResponseToJsonLine(const SessionResponse& response) {
-  JsonObject json;
-  json.Set("protocol_version", response.protocol_version)
-      .Set("type", SessionOpName(response.op));
-  if (!response.id.empty()) {
-    json.Set("id", response.id);
-  }
+  JsonObject json = TypedHead(response.protocol_version,
+                              kSessionOpNames.Name(response.op), response.id);
   if (!response.session_id.empty()) {
     json.Set("session", response.session_id);
   }
-  json.Set("status", StatusName(response.status));
+  json.Set("status", kStatusNames.Name(response.status));
   if (response.status != ServeStatus::kOk) {
     json.SetRaw("error", ErrorToJson(response.error).Dump());
     if (response.error.code == ErrorCode::kStaleEpoch) {
@@ -583,15 +482,11 @@ std::string SessionResponseToJsonLine(const SessionResponse& response) {
   if (response.op == SessionOp::kBurst) {
     json.Set("feasible", response.feasible);
     if (!response.feasible) {
-      std::string flows = "[";
-      for (std::size_t i = 0; i < response.disconnected_flows.size(); ++i) {
-        if (i != 0) {
-          flows += ",";
-        }
-        flows += std::to_string(response.disconnected_flows[i]);
+      std::vector<std::string> flows;
+      for (const std::uint64_t flow : response.disconnected_flows) {
+        flows.push_back(std::to_string(flow));
       }
-      flows += "]";
-      json.SetRaw("disconnected_flows", flows);
+      json.SetRaw("disconnected_flows", JsonArray(flows));
     }
     json.Set("affected_flows", response.affected_flows)
         .Set("table_detours", response.table_detours)
@@ -619,30 +514,21 @@ std::string SessionResponseToJsonLine(const SessionResponse& response) {
         .Set("bursts_applied", response.bursts_applied);
   }
   if (response.op == SessionOp::kOpen) {
-    json.Set("cache", CacheOutcomeName(response.cache_outcome));
+    json.Set("cache", kCacheOutcomeNames.Name(response.cache_outcome));
   }
   json.Set("service_ms", response.service_ms);
   return json.Dump();
 }
 
 std::string StatsRequestToJsonLine(const StatsRequest& request) {
-  JsonObject json;
-  json.Set("protocol_version", request.protocol_version).Set("type", "stats");
-  if (!request.id.empty()) {
-    json.Set("id", request.id);
-  }
-  return json.Dump();
+  return TypedHead(request.protocol_version, "stats", request.id).Dump();
 }
 
 std::string StatsResponseToJsonLine(const StatsRequest& request,
                                     const ServiceStats& service_stats,
                                     const SessionServiceStats& session_stats) {
-  JsonObject json;
-  json.Set("protocol_version", request.protocol_version).Set("type", "stats");
-  if (!request.id.empty()) {
-    json.Set("id", request.id);
-  }
-  json.Set("status", StatusName(ServeStatus::kOk))
+  JsonObject json = TypedHead(request.protocol_version, "stats", request.id);
+  json.Set("status", kStatusNames.Name(ServeStatus::kOk))
       .SetRaw("provenance", BuildProvenanceJson().Dump())
       .Set("requests", service_stats.requests)
       .Set("hits", service_stats.hits)
@@ -664,8 +550,7 @@ std::string StatsResponseToJsonLine(const StatsRequest& request,
       .Set("errors", session_stats.errors)
       .Set("live", session_stats.live_sessions);
   json.SetRaw("sessions", sessions.Dump());
-  std::string classes = "[";
-  bool first = true;
+  std::vector<std::string> classes;
   for (const sched::ClassCounters& c : service_stats.admission_classes) {
     JsonObject item;
     item.Set("name", c.name)
@@ -674,31 +559,15 @@ std::string StatsResponseToJsonLine(const StatsRequest& request,
         .Set("admitted", c.admitted)
         .Set("rejected", c.rejected)
         .Set("cost_admitted", c.cost_admitted);
-    if (!first) {
-      classes += ",";
-    }
-    first = false;
-    classes += item.Dump();
+    classes.push_back(item.Dump());
   }
-  classes += "]";
-  json.SetRaw("admission_classes", classes);
+  json.SetRaw("admission_classes", JsonArray(classes));
   return json.Dump();
 }
 
 std::string StatsTextFromJson(const std::string& response_line,
                               const std::string& prefix) {
-  JsonValue json;
-  try {
-    json = JsonValue::Parse(response_line);
-  } catch (const std::exception& e) {
-    throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
-  }
-  try {
-    const JsonValue* type = json.Find("type");
-    if (type == nullptr || type->AsString() != "stats") {
-      throw ProtocolError(ErrorCode::kInvalidRequest,
-                          "StatsTextFromJson: not a stats response line");
-    }
+  const auto render = [&](const JsonValue& json) {
     const auto u = [&](const JsonValue& node, const char* key) {
       return node.At(key).AsUint();
     };
@@ -755,32 +624,18 @@ std::string StatsTextFromJson(const std::string& response_line,
               std::to_string(u(c, "cost_admitted")) + " cost units admitted\n";
     }
     return text;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
-  }
+  };
+  return TextFromResponse(response_line, "stats", "StatsTextFromJson", render);
 }
 
 std::string MetricsRequestToJsonLine(const MetricsRequest& request) {
-  JsonObject json;
-  json.Set("protocol_version", request.protocol_version)
-      .Set("type", "metrics");
-  if (!request.id.empty()) {
-    json.Set("id", request.id);
-  }
-  return json.Dump();
+  return TypedHead(request.protocol_version, "metrics", request.id).Dump();
 }
 
 std::string MetricsResponseToJsonLine(const MetricsRequest& request,
                                       const obs::MetricsSnapshot& snapshot) {
-  JsonObject json;
-  json.Set("protocol_version", request.protocol_version)
-      .Set("type", "metrics");
-  if (!request.id.empty()) {
-    json.Set("id", request.id);
-  }
-  json.Set("status", StatusName(ServeStatus::kOk))
+  JsonObject json = TypedHead(request.protocol_version, "metrics", request.id);
+  json.Set("status", kStatusNames.Name(ServeStatus::kOk))
       .SetRaw("provenance", BuildProvenanceJson().Dump())
       .SetRaw("counters", obs::CountersToJson(snapshot).Dump())
       .SetRaw("gauges", obs::GaugesToJson(snapshot).Dump())
@@ -790,18 +645,7 @@ std::string MetricsResponseToJsonLine(const MetricsRequest& request,
 
 std::string MetricsTextFromJson(const std::string& response_line,
                                 const std::string& prefix) {
-  JsonValue json;
-  try {
-    json = JsonValue::Parse(response_line);
-  } catch (const std::exception& e) {
-    throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
-  }
-  try {
-    const JsonValue* type = json.Find("type");
-    if (type == nullptr || type->AsString() != "metrics") {
-      throw ProtocolError(ErrorCode::kInvalidRequest,
-                          "MetricsTextFromJson: not a metrics response line");
-    }
+  const auto render = [&](const JsonValue& json) {
     std::string text;
     const JsonValue& provenance = json.At("provenance");
     text += prefix + "build " + provenance.At("git_sha").AsString() + " (" +
@@ -846,11 +690,9 @@ std::string MetricsTextFromJson(const std::string& response_line,
       text += "\n";
     }
     return text;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
-  }
+  };
+  return TextFromResponse(response_line, "metrics", "MetricsTextFromJson",
+                          render);
 }
 
 std::string ErrorResponseLine(int protocol_version, const std::string& id,
@@ -860,7 +702,7 @@ std::string ErrorResponseLine(int protocol_version, const std::string& id,
   if (!id.empty()) {
     json.Set("id", id);
   }
-  json.Set("status", StatusName(ServeStatus::kError));
+  json.Set("status", kStatusNames.Name(ServeStatus::kError));
   json.SetRaw("error", ErrorToJson(ErrorInfo{code, message}).Dump());
   return json.Dump();
 }

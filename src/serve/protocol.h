@@ -73,9 +73,12 @@
 
 #include <string>
 
+#include "deadlock/removal.h"
+#include "fault/plan.h"
 #include "obs/metrics.h"
 #include "serve/service.h"
 #include "serve/session.h"
+#include "util/enum_names.h"
 #include "util/error.h"
 
 namespace nocdr::serve {
@@ -194,14 +197,31 @@ std::string MetricsTextFromJson(const std::string& response_line,
 std::string ErrorResponseLine(int protocol_version, const std::string& id,
                               ErrorCode code, const std::string& message);
 
-/// Stable names used by the protocol ("ok" / "overloaded" / "error",
-/// "hit" / "computed" / "coalesced" / "none").
-std::string StatusName(ServeStatus status);
-std::string CacheOutcomeName(CacheOutcome outcome);
+/// Protocol names of the removal options a request carries.
+inline constexpr auto kCyclePolicyNames = MakeEnumTable<CyclePolicy>({
+    {CyclePolicy::kSmallestFirst, "smallest_first"},
+    {CyclePolicy::kFirstFound, "first_found"},
+    {CyclePolicy::kLargestFirst, "largest_first"},
+});
+inline constexpr auto kDirectionNames = MakeEnumTable<DirectionPolicy>({
+    {DirectionPolicy::kBoth, "both"},
+    {DirectionPolicy::kForwardOnly, "forward_only"},
+    {DirectionPolicy::kBackwardOnly, "backward_only"},
+});
+inline constexpr auto kRemovalEngineNames = MakeEnumTable<RemovalEngine>({
+    {RemovalEngine::kIncremental, "incremental"},
+    {RemovalEngine::kRebuild, "rebuild"},
+});
+inline constexpr auto kDuplicationNames = MakeEnumTable<DuplicationMode>({
+    {DuplicationMode::kVirtualChannel, "virtual_channel"},
+    {DuplicationMode::kPhysicalLink, "physical_link"},
+});
 
-/// Stable v2 message-type names ("certify", "session_open",
-/// "fault_burst", "session_snapshot", "session_close").
-std::string SessionOpName(SessionOp op);
+/// Protocol names of the fault kinds a fault_burst event names.
+inline constexpr auto kFaultKindNames = MakeEnumTable<fault::FaultKind>({
+    {fault::FaultKind::kLink, "link"},
+    {fault::FaultKind::kSwitch, "switch"},
+});
 
 /// Inverse of ErrorCodeName (serve/service.h); nullopt-free: throws
 /// ProtocolError(kInvalidRequest) on an unknown name.

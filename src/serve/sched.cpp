@@ -21,31 +21,6 @@ std::uint64_t Mix(std::uint64_t x) {
 
 }  // namespace
 
-std::string DisciplineName(Discipline discipline) {
-  switch (discipline) {
-    case Discipline::kFifo:
-      return "fifo";
-    case Discipline::kSjf:
-      return "sjf";
-    case Discipline::kPriority:
-      return "priority";
-  }
-  return "unknown";
-}
-
-std::optional<Discipline> ParseDiscipline(const std::string& name) {
-  for (const Discipline discipline : AllDisciplines()) {
-    if (DisciplineName(discipline) == name) {
-      return discipline;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<Discipline> AllDisciplines() {
-  return {Discipline::kFifo, Discipline::kSjf, Discipline::kPriority};
-}
-
 std::uint64_t EstimateCost(std::size_t channels, std::size_t flows) {
   // Channels bound the CDG vertex count, flows the per-iteration
   // cycle-break candidate scan; both enter roughly linearly. +1 keeps

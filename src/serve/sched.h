@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "noc/design.h"
+#include "util/enum_names.h"
 
 namespace nocdr::serve::sched {
 
@@ -43,10 +44,21 @@ enum class Discipline {
   kPriority,  // priority class rank, FIFO within a class
 };
 
-/// Stable names: "fifo" / "sjf" / "priority".
-std::string DisciplineName(Discipline discipline);
-std::optional<Discipline> ParseDiscipline(const std::string& name);
-std::vector<Discipline> AllDisciplines();
+inline constexpr auto kDisciplineNames = MakeEnumTable<Discipline>({
+    {Discipline::kFifo, "fifo"},
+    {Discipline::kSjf, "sjf"},
+    {Discipline::kPriority, "priority"},
+});
+
+inline std::string DisciplineName(Discipline discipline) {
+  return kDisciplineNames.Name(discipline);
+}
+inline std::optional<Discipline> ParseDiscipline(const std::string& name) {
+  return kDisciplineNames.Parse(name);
+}
+inline std::vector<Discipline> AllDisciplines() {
+  return kDisciplineNames.All();
+}
 
 /// Deterministic service-cost units of a certification job, keyed on
 /// design size. Removal cost grows with both the channel count (CDG

@@ -13,6 +13,7 @@
 #include "runner/parallel_map.h"
 #include "serve/protocol.h"
 #include "util/canonical.h"
+#include "util/clock.h"
 #include "util/digest.h"
 #include "util/error.h"
 #include "util/text.h"
@@ -20,12 +21,6 @@
 namespace nocdr::serve {
 
 namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // Serve sections are timed into histograms only — no spans: they sit
 // on schedule-dependent paths (a repeat may hit the memo or coalesce
@@ -225,32 +220,6 @@ void FillPayload(CertResponse& response, const CachedCertification& value,
 }
 
 }  // namespace
-
-std::string ErrorCodeName(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kNone:
-      return "none";
-    case ErrorCode::kInvalidRequest:
-      return "invalid_request";
-    case ErrorCode::kUnsupportedVersion:
-      return "unsupported_version";
-    case ErrorCode::kUnknownType:
-      return "unknown_type";
-    case ErrorCode::kUnknownSession:
-      return "unknown_session";
-    case ErrorCode::kStaleEpoch:
-      return "stale_epoch";
-    case ErrorCode::kSessionLimit:
-      return "session_limit";
-    case ErrorCode::kOverloaded:
-      return "overloaded";
-    case ErrorCode::kComputeFailed:
-      return "compute_failed";
-    case ErrorCode::kInternal:
-      return "internal";
-  }
-  return "unknown";
-}
 
 NocDesign MaterializeDesign(const DesignSpec& spec,
                             const valid::DesignEnvelope& envelope,

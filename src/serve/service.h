@@ -58,6 +58,7 @@
 #include "serve/coalescer.h"
 #include "serve/disk_cache.h"
 #include "serve/sched.h"
+#include "util/enum_names.h"
 #include "valid/campaign.h"
 
 namespace nocdr::serve {
@@ -122,6 +123,16 @@ enum class ServeStatus {
   kError,       // malformed request or failed computation
 };
 
+inline constexpr auto kStatusNames = MakeEnumTable<ServeStatus>({
+    {ServeStatus::kOk, "ok"},
+    {ServeStatus::kOverloaded, "overloaded"},
+    {ServeStatus::kError, "error"},
+});
+
+inline std::string StatusName(ServeStatus status) {
+  return kStatusNames.Name(status);
+}
+
 /// Machine-readable failure classification, shared by protocol v1 and
 /// v2. A response's error field is meaningful iff status != kOk.
 enum class ErrorCode {
@@ -146,9 +157,24 @@ struct ErrorInfo {
   [[nodiscard]] bool ok() const { return code == ErrorCode::kNone; }
 };
 
-/// Stable protocol name of \p code ("invalid_request", "stale_epoch",
-/// ...). Inverse: ParseErrorCode in serve/protocol.h.
-std::string ErrorCodeName(ErrorCode code);
+/// Stable protocol names of the error codes. Inverse of Name:
+/// ParseErrorCode in serve/protocol.h.
+inline constexpr auto kErrorCodeNames = MakeEnumTable<ErrorCode>({
+    {ErrorCode::kNone, "none"},
+    {ErrorCode::kInvalidRequest, "invalid_request"},
+    {ErrorCode::kUnsupportedVersion, "unsupported_version"},
+    {ErrorCode::kUnknownType, "unknown_type"},
+    {ErrorCode::kUnknownSession, "unknown_session"},
+    {ErrorCode::kStaleEpoch, "stale_epoch"},
+    {ErrorCode::kSessionLimit, "session_limit"},
+    {ErrorCode::kOverloaded, "overloaded"},
+    {ErrorCode::kComputeFailed, "compute_failed"},
+    {ErrorCode::kInternal, "internal"},
+});
+
+inline std::string ErrorCodeName(ErrorCode code) {
+  return kErrorCodeNames.Name(code);
+}
 
 /// How the response was produced; metadata only, excluded from the
 /// deterministic payload.
@@ -158,6 +184,17 @@ enum class CacheOutcome {
   kCoalesced,  // joined another request's in-flight computation
   kNone,       // overloaded / error before the cache was consulted
 };
+
+inline constexpr auto kCacheOutcomeNames = MakeEnumTable<CacheOutcome>({
+    {CacheOutcome::kHit, "hit"},
+    {CacheOutcome::kComputed, "computed"},
+    {CacheOutcome::kCoalesced, "coalesced"},
+    {CacheOutcome::kNone, "none"},
+});
+
+inline std::string CacheOutcomeName(CacheOutcome outcome) {
+  return kCacheOutcomeNames.Name(outcome);
+}
 
 struct CertResponse {
   // ---- deterministic payload (covered by ResponseDigest) ----

@@ -11,19 +11,10 @@
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "util/canonical.h"
+#include "util/clock.h"
 #include "util/digest.h"
 
 namespace nocdr::serve {
-
-namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 /// Everything a session keeps alive between messages: the design, the
 /// channel dependency graph mirroring its routes, the dirty-cycle

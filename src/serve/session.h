@@ -48,17 +48,30 @@
 
 #include "fault/plan.h"
 #include "serve/service.h"
+#include "util/enum_names.h"
 
 namespace nocdr::serve {
 
 /// The four v2 session operations (plus stateless certify, which is
 /// not a session op; see serve/protocol.h for the full v2 surface).
 enum class SessionOp {
-  kOpen,      // "session_open"
-  kBurst,     // "fault_burst"
-  kSnapshot,  // "session_snapshot"
-  kClose,     // "session_close"
+  kOpen,
+  kBurst,
+  kSnapshot,
+  kClose,
 };
+
+/// Stable v2 message-type names of the session operations.
+inline constexpr auto kSessionOpNames = MakeEnumTable<SessionOp>({
+    {SessionOp::kOpen, "session_open"},
+    {SessionOp::kBurst, "fault_burst"},
+    {SessionOp::kSnapshot, "session_snapshot"},
+    {SessionOp::kClose, "session_close"},
+});
+
+inline std::string SessionOpName(SessionOp op) {
+  return kSessionOpNames.Name(op);
+}
 
 /// One failure named at the protocol level: links by (src, dst) switch
 /// names, switches by name. Resolved against the session's design

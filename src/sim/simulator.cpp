@@ -906,31 +906,6 @@ class Engine {
 
 }  // namespace
 
-std::vector<SimEngine> AllEngines() {
-  return {SimEngine::kFullScan, SimEngine::kWorklist, SimEngine::kEvent};
-}
-
-std::string EngineName(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kWorklist:
-      return "worklist";
-    case SimEngine::kFullScan:
-      return "fullscan";
-    case SimEngine::kEvent:
-      return "event";
-  }
-  return "unknown";
-}
-
-std::optional<SimEngine> ParseEngine(const std::string& name) {
-  for (const SimEngine engine : AllEngines()) {
-    if (EngineName(engine) == name) {
-      return engine;
-    }
-  }
-  return std::nullopt;
-}
-
 SimResult SimulateWorkload(const NocDesign& design, const SimConfig& config) {
   Require(config.traffic.packet_length >= 1,
           "SimulateWorkload: packets need at least one flit");

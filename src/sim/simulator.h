@@ -30,6 +30,7 @@
 #include "noc/design.h"
 #include "sim/flit.h"
 #include "sim/traffic_gen.h"
+#include "util/enum_names.h"
 
 namespace nocdr {
 
@@ -64,14 +65,21 @@ enum class SimEngine {
   kEvent,
 };
 
-/// All engines, in the fixed differential-test order (reference first).
-std::vector<SimEngine> AllEngines();
+/// Stable lowercase engine names, in the fixed differential-test order
+/// (reference first).
+inline constexpr auto kSimEngineNames = MakeEnumTable<SimEngine>({
+    {SimEngine::kFullScan, "fullscan"},
+    {SimEngine::kWorklist, "worklist"},
+    {SimEngine::kEvent, "event"},
+});
 
-/// Stable lowercase identifier ("worklist", "fullscan", "event").
-std::string EngineName(SimEngine engine);
-
-/// Inverse of EngineName; nullopt for unknown names.
-std::optional<SimEngine> ParseEngine(const std::string& name);
+inline std::vector<SimEngine> AllEngines() { return kSimEngineNames.All(); }
+inline std::string EngineName(SimEngine engine) {
+  return kSimEngineNames.Name(engine);
+}
+inline std::optional<SimEngine> ParseEngine(const std::string& name) {
+  return kSimEngineNames.Parse(name);
+}
 
 struct SimConfig {
   SimEngine engine = SimEngine::kWorklist;

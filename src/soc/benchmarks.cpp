@@ -19,7 +19,7 @@ void AddChain(CommunicationGraph& g, const std::vector<CoreId>& stages,
 
 SocBenchmark BuildD26Media() {
   SocBenchmark b;
-  b.name = "D26_media";
+  b.name = BenchmarkName(SocBenchmarkId::kD26Media);
   CommunicationGraph& g = b.traffic;
 
   // Hubs.
@@ -132,7 +132,7 @@ SocBenchmark BuildD36(std::size_t fanout, std::string name) {
 
 SocBenchmark BuildD35Bot() {
   SocBenchmark b;
-  b.name = "D35_bot";
+  b.name = BenchmarkName(SocBenchmarkId::kD35Bot);
   CommunicationGraph& g = b.traffic;
 
   // 5 sensing clusters x 6 cores + fusion core per cluster feeds a
@@ -168,7 +168,7 @@ SocBenchmark BuildD35Bot() {
 
 SocBenchmark BuildD38Tvo() {
   SocBenchmark b;
-  b.name = "D38_tvo";
+  b.name = BenchmarkName(SocBenchmarkId::kD38Tvo);
   CommunicationGraph& g = b.traffic;
 
   const CoreId host = g.AddCore("host");
@@ -234,27 +234,17 @@ SocBenchmark MakeBenchmark(SocBenchmarkId id) {
     case SocBenchmarkId::kD26Media:
       return BuildD26Media();
     case SocBenchmarkId::kD36_4:
-      return BuildD36(4, "D36_4");
+      return BuildD36(4, BenchmarkName(id));
     case SocBenchmarkId::kD36_6:
-      return BuildD36(6, "D36_6");
+      return BuildD36(6, BenchmarkName(id));
     case SocBenchmarkId::kD36_8:
-      return BuildD36(8, "D36_8");
+      return BuildD36(8, BenchmarkName(id));
     case SocBenchmarkId::kD35Bot:
       return BuildD35Bot();
     case SocBenchmarkId::kD38Tvo:
       return BuildD38Tvo();
   }
   throw InvalidModelError("MakeBenchmark: unknown benchmark id");
-}
-
-std::vector<SocBenchmarkId> AllBenchmarkIds() {
-  return {SocBenchmarkId::kD26Media, SocBenchmarkId::kD36_4,
-          SocBenchmarkId::kD36_6,    SocBenchmarkId::kD36_8,
-          SocBenchmarkId::kD35Bot,   SocBenchmarkId::kD38Tvo};
-}
-
-std::string BenchmarkName(SocBenchmarkId id) {
-  return MakeBenchmark(id).name;
 }
 
 SocBenchmark MakeD36WithFanout(std::size_t fanout) {

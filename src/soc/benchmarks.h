@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "noc/traffic.h"
+#include "util/enum_names.h"
 
 namespace nocdr {
 
@@ -44,11 +45,22 @@ struct SocBenchmark {
 /// identical graphs.
 SocBenchmark MakeBenchmark(SocBenchmarkId id);
 
-/// All six benchmarks in the paper's Figure 10 order.
-std::vector<SocBenchmarkId> AllBenchmarkIds();
+/// Display names, in the paper's Figure 10 order.
+inline constexpr auto kBenchmarkNames = MakeEnumTable<SocBenchmarkId>({
+    {SocBenchmarkId::kD26Media, "D26_media"},
+    {SocBenchmarkId::kD36_4, "D36_4"},
+    {SocBenchmarkId::kD36_6, "D36_6"},
+    {SocBenchmarkId::kD36_8, "D36_8"},
+    {SocBenchmarkId::kD35Bot, "D35_bot"},
+    {SocBenchmarkId::kD38Tvo, "D38_tvo"},
+});
 
-/// Display name ("D26_media", ...).
-std::string BenchmarkName(SocBenchmarkId id);
+inline std::vector<SocBenchmarkId> AllBenchmarkIds() {
+  return kBenchmarkNames.All();
+}
+inline std::string BenchmarkName(SocBenchmarkId id) {
+  return kBenchmarkNames.Name(id);
+}
 
 /// The generic D36-style fabric for arbitrary fan-out (used by tests and
 /// scaling studies beyond the paper's 4/6/8).

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace nocdr {
 
@@ -25,7 +25,7 @@ inline void DigestField(std::uint64_t& h, std::uint64_t value) {
 
 /// Mixes the bytes of \p value plus its length (so "ab","c" and
 /// "a","bc" digest differently).
-inline void DigestField(std::uint64_t& h, const std::string& value) {
+inline void DigestField(std::uint64_t& h, std::string_view value) {
   for (const char c : value) {
     h ^= static_cast<unsigned char>(c);
     h *= kFnvPrime;

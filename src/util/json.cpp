@@ -45,6 +45,15 @@ std::string JsonEscape(const std::string& raw) {
   return out;
 }
 
+std::string JsonArray(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out += i == 0 ? "" : ",";
+    out += items[i];
+  }
+  return out + "]";
+}
+
 JsonObject& JsonObject::Set(const std::string& key, const std::string& value) {
   fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
   return *this;

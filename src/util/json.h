@@ -24,6 +24,9 @@ namespace nocdr {
 /// Escapes \p raw for use inside a JSON string literal (quotes excluded).
 std::string JsonEscape(const std::string& raw);
 
+/// Renders \p items, each an already-rendered JSON value, as an array.
+std::string JsonArray(const std::vector<std::string>& items);
+
 /// One flat JSON object; keys keep insertion order.
 class JsonObject {
  public:

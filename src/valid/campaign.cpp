@@ -9,15 +9,15 @@
 #include "deadlock/updown.h"
 #include "deadlock/verify.h"
 #include "gen/generators.h"
-#include "runner/parallel_map.h"
 #include "runner/sweep.h"
 #include "soc/synthetic.h"
 #include "synth/synthesizer.h"
-#include "util/digest.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "valid/repro.h"
 #include "valid/shrink.h"
+#include "valid/trials.h"
 
 // KeepFlows lives in valid/shrink.h; the focused detonation ladder below
 // reuses it to restrict a design to its counterexample's flows.
@@ -25,12 +25,6 @@
 namespace nocdr::valid {
 
 namespace {
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// The simulator configuration for escalation level \p escalation:
 /// every level doubles the worm length and the packet count (and widens
@@ -86,67 +80,6 @@ void FillSimFields(TrialRow& row, const SimResult& sim,
 }
 
 }  // namespace
-
-std::vector<TrialArm> AllArms() {
-  return {TrialArm::kUntreated, TrialArm::kRemovalIncremental,
-          TrialArm::kRemovalRebuild, TrialArm::kResourceOrdering,
-          TrialArm::kUpDown};
-}
-
-std::string ArmName(TrialArm arm) {
-  switch (arm) {
-    case TrialArm::kUntreated:
-      return "untreated";
-    case TrialArm::kRemovalIncremental:
-      return "removal_incremental";
-    case TrialArm::kRemovalRebuild:
-      return "removal_rebuild";
-    case TrialArm::kResourceOrdering:
-      return "resource_ordering";
-    case TrialArm::kUpDown:
-      return "updown";
-  }
-  return "unknown";
-}
-
-std::optional<TrialArm> ParseArm(const std::string& name) {
-  for (const TrialArm arm : AllArms()) {
-    if (ArmName(arm) == name) {
-      return arm;
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<DesignSource> AllSources() {
-  return {DesignSource::kSynthesized, DesignSource::kMesh,
-          DesignSource::kTorus, DesignSource::kRing, DesignSource::kFatTree};
-}
-
-std::string SourceName(DesignSource source) {
-  switch (source) {
-    case DesignSource::kSynthesized:
-      return "synthesized";
-    case DesignSource::kMesh:
-      return "mesh";
-    case DesignSource::kTorus:
-      return "torus";
-    case DesignSource::kRing:
-      return "ring";
-    case DesignSource::kFatTree:
-      return "fat_tree";
-  }
-  return "unknown";
-}
-
-std::optional<DesignSource> ParseSource(const std::string& name) {
-  for (const DesignSource source : AllSources()) {
-    if (SourceName(source) == name) {
-      return source;
-    }
-  }
-  return std::nullopt;
-}
 
 NocDesign GenerateTrialDesign(std::uint64_t seed,
                               const DesignEnvelope& envelope) {
@@ -466,58 +399,6 @@ TrialOutcome RunTrial(const NocDesign& design, TrialArm arm,
   return out;
 }
 
-namespace {
-
-/// First deterministic field on which two classifications of the same
-/// (design, arm, workload, seed) trial disagree; empty when they agree.
-/// Wall clock (run_ms) and shrink summaries are excluded by design.
-std::string FirstDivergence(const TrialRow& a, const TrialRow& b) {
-  const auto diff = [](const std::string& field, auto lhs, auto rhs) {
-    return field + " (" + std::to_string(lhs) + " vs " +
-           std::to_string(rhs) + ")";
-  };
-  if (a.channels_after != b.channels_after) {
-    return diff("channels_after", a.channels_after, b.channels_after);
-  }
-  if (a.certified_free != b.certified_free) {
-    return diff("certified_free", a.certified_free, b.certified_free);
-  }
-  if (a.certificate_checked != b.certificate_checked) {
-    return diff("certificate_checked", a.certificate_checked,
-                b.certificate_checked);
-  }
-  if (a.sim_deadlocked != b.sim_deadlocked) {
-    return diff("sim_deadlocked", a.sim_deadlocked, b.sim_deadlocked);
-  }
-  if (a.all_delivered != b.all_delivered) {
-    return diff("all_delivered", a.all_delivered, b.all_delivered);
-  }
-  if (a.cycles != b.cycles) {
-    return diff("cycles", a.cycles, b.cycles);
-  }
-  if (a.packets_offered != b.packets_offered) {
-    return diff("packets_offered", a.packets_offered, b.packets_offered);
-  }
-  if (a.packets_delivered != b.packets_delivered) {
-    return diff("packets_delivered", a.packets_delivered,
-                b.packets_delivered);
-  }
-  if (a.escalations != b.escalations) {
-    return diff("escalations", a.escalations, b.escalations);
-  }
-  if (a.verdict != b.verdict) {
-    return diff("verdict", static_cast<int>(a.verdict),
-                static_cast<int>(b.verdict));
-  }
-  if (a.mismatch_kind != b.mismatch_kind) {
-    return diff("mismatch_kind", static_cast<int>(a.mismatch_kind),
-                static_cast<int>(b.mismatch_kind));
-  }
-  return {};
-}
-
-}  // namespace
-
 TrialOutcome RunTrialEngines(const NocDesign& design, TrialArm arm,
                              const WorkloadConfig& workload,
                              const std::vector<SimEngine>& engines,
@@ -537,7 +418,8 @@ TrialOutcome RunTrialEngines(const NocDesign& design, TrialArm arm,
     WorkloadConfig secondary = workload;
     secondary.engine = engines[e];
     const TrialRow other = ClassifyTrial(design, arm, secondary, seed);
-    const std::string divergence = FirstDivergence(out.row, other);
+    const std::string divergence =
+        schema::FirstOutcomeDifference(out.row, other);
     if (!divergence.empty()) {
       out.row.verdict = TrialVerdict::kMismatch;
       out.row.mismatch_kind = MismatchKind::kEngineDivergence;
@@ -555,136 +437,50 @@ CampaignResult RunCampaign(const CampaignConfig& config) {
   Require(!config.arms.empty(), "RunCampaign: at least one arm required");
   Require(!config.sources.empty(),
           "RunCampaign: at least one design source required");
+  // Each trial writes only its own slot, so the repros need no lock.
+  std::vector<std::string> repro_json(config.trials);
   CampaignResult result;
-  std::vector<TrialOutcome> outcomes =
-      runner::ParallelMapIndexed<TrialOutcome>(
-          config.trials, config.threads, [&](std::size_t i) {
-            const std::size_t design_index = i / config.arms.size();
-            const TrialArm arm = config.arms[i % config.arms.size()];
-            const DesignSource source =
-                config.sources[design_index % config.sources.size()];
-            const std::uint64_t seed =
-                runner::JobSeed(config.base_seed, design_index);
-            TrialOutcome out;
-            try {
-              const NocDesign design =
-                  GenerateTrialDesign(source, seed, config.envelope);
-              if (config.engines.size() > 1) {
-                out = RunTrialEngines(design, arm, config.workload,
-                                      config.engines, seed, config.shrink,
-                                      i);
-              } else {
-                WorkloadConfig workload = config.workload;
-                if (!config.engines.empty()) {
-                  workload.engine = config.engines.front();
-                }
-                out = RunTrial(design, arm, workload, seed, config.shrink,
-                               i);
-              }
-            } catch (const std::exception& e) {
-              out.row.design_seed = seed;
-              out.row.arm = arm;
-              out.row.mismatch = "trial threw: " + std::string(e.what());
-              out.row.mismatch_kind = MismatchKind::kTrialThrew;
-              out.row.verdict = TrialVerdict::kMismatch;
-            }
-            out.row.trial_index = i;
-            out.row.source = source;
-            return out;
-          });
-  result.rows.reserve(outcomes.size());
-  for (TrialOutcome& out : outcomes) {
-    switch (out.row.verdict) {
-      case TrialVerdict::kPositiveDelivered:
-        ++result.positives;
-        break;
-      case TrialVerdict::kNegativeDetonated:
-        ++result.detonations;
-        break;
-      case TrialVerdict::kArmInfeasible:
-        ++result.infeasibles;
-        break;
-      case TrialVerdict::kMismatch:
-        ++result.mismatches;
-        break;
+  RunTrials(result, config.trials, config.threads, [&](std::size_t i) {
+    const std::size_t design_index = i / config.arms.size();
+    const TrialArm arm = config.arms[i % config.arms.size()];
+    const DesignSource source =
+        config.sources[design_index % config.sources.size()];
+    const std::uint64_t seed = runner::JobSeed(config.base_seed, design_index);
+    TrialOutcome out;
+    try {
+      const NocDesign design =
+          GenerateTrialDesign(source, seed, config.envelope);
+      if (config.engines.size() > 1) {
+        out = RunTrialEngines(design, arm, config.workload, config.engines,
+                              seed, config.shrink, i);
+      } else {
+        WorkloadConfig workload = config.workload;
+        if (!config.engines.empty()) {
+          workload.engine = config.engines.front();
+        }
+        out = RunTrial(design, arm, workload, seed, config.shrink, i);
+      }
+    } catch (const std::exception& e) {
+      out.row.design_seed = seed;
+      out.row.arm = arm;
+      out.row.mismatch = "trial threw: " + std::string(e.what());
+      out.row.mismatch_kind = MismatchKind::kTrialThrew;
+      out.row.verdict = TrialVerdict::kMismatch;
     }
-    if (!out.repro_json.empty()) {
-      result.repros.emplace_back(out.row.trial_index,
-                                 std::move(out.repro_json));
+    out.row.source = source;
+    repro_json[i] = std::move(out.repro_json);
+    return out.row;
+  });
+  for (std::size_t i = 0; i < repro_json.size(); ++i) {
+    if (!repro_json[i].empty()) {
+      result.repros.emplace_back(i, std::move(repro_json[i]));
     }
-    result.rows.push_back(std::move(out.row));
   }
-  result.digest = Digest(result.rows);
+  result.positives = result.Count(TrialVerdict::kPositiveDelivered);
+  result.detonations = result.Count(TrialVerdict::kNegativeDetonated);
+  result.infeasibles = result.Count(TrialVerdict::kArmInfeasible);
+  result.mismatches = result.Count(TrialVerdict::kMismatch);
   return result;
-}
-
-std::uint64_t Digest(const std::vector<TrialRow>& rows) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const TrialRow& row : rows) {
-    DigestField(h, row.trial_index);
-    DigestField(h, row.design_seed);
-    DigestField(h, row.design);
-    DigestField(h, SourceName(row.source));
-    DigestField(h, ArmName(row.arm));
-    DigestField(h, row.switches);
-    DigestField(h, row.links);
-    DigestField(h, row.flows);
-    DigestField(h, row.channels_before);
-    DigestField(h, row.channels_after);
-    DigestField(h, static_cast<std::uint64_t>(row.certified_free));
-    DigestField(h, static_cast<std::uint64_t>(row.certificate_checked));
-    DigestField(h, static_cast<std::uint64_t>(row.sim_deadlocked));
-    DigestField(h, static_cast<std::uint64_t>(row.all_delivered));
-    DigestField(h, row.cycles);
-    DigestField(h, row.packets_offered);
-    DigestField(h, row.packets_delivered);
-    DigestField(h, row.escalations);
-    DigestField(h, static_cast<std::uint64_t>(row.verdict));
-    DigestField(h, static_cast<std::uint64_t>(row.mismatch_kind));
-    DigestField(h, row.mismatch);
-    DigestField(h, row.shrink_flows_kept);
-    DigestField(h, row.shrink_steps);
-  }
-  return h;
-}
-
-JsonObject RowToJson(const TrialRow& row) {
-  JsonObject json;
-  json.Set("trial", row.trial_index)
-      .Set("design_seed", row.design_seed)
-      .Set("design", row.design)
-      .Set("source", SourceName(row.source))
-      .Set("arm", ArmName(row.arm))
-      .Set("switches", row.switches)
-      .Set("links", row.links)
-      .Set("flows", row.flows)
-      .Set("channels_before", row.channels_before)
-      .Set("channels_after", row.channels_after)
-      .Set("certified_free", row.certified_free)
-      .Set("certificate_checked", row.certificate_checked)
-      .Set("sim_deadlocked", row.sim_deadlocked)
-      .Set("all_delivered", row.all_delivered)
-      .Set("cycles", row.cycles)
-      .Set("packets_offered", row.packets_offered)
-      .Set("packets_delivered", row.packets_delivered)
-      .Set("escalations", row.escalations)
-      .Set("verdict",
-           row.verdict == TrialVerdict::kPositiveDelivered
-               ? "positive_delivered"
-               : row.verdict == TrialVerdict::kNegativeDetonated
-                     ? "negative_detonated"
-                     : row.verdict == TrialVerdict::kArmInfeasible
-                           ? "arm_infeasible"
-                           : "mismatch")
-      .Set("run_ms", row.run_ms);
-  if (!row.mismatch.empty()) {
-    json.Set("mismatch", row.mismatch)
-        .Set("mismatch_kind",
-             static_cast<std::uint64_t>(row.mismatch_kind))
-        .Set("shrink_flows_kept", row.shrink_flows_kept)
-        .Set("shrink_steps", row.shrink_steps);
-  }
-  return json;
 }
 
 }  // namespace nocdr::valid

@@ -34,7 +34,10 @@
 #include "noc/design.h"
 #include "sim/simulator.h"
 #include "synth/route_builder.h"
+#include "util/enum_names.h"
 #include "util/json.h"
+#include "util/row_schema.h"
+#include "valid/trials.h"
 
 namespace nocdr::valid {
 
@@ -47,14 +50,20 @@ enum class TrialArm {
   kUpDown,              // up*/down* turn prohibition (may be infeasible)
 };
 
-/// All arms, in the fixed campaign order.
-std::vector<TrialArm> AllArms();
+/// Stable lowercase arm names, in the fixed campaign order.
+inline constexpr auto kArmNames = MakeEnumTable<TrialArm>({
+    {TrialArm::kUntreated, "untreated"},
+    {TrialArm::kRemovalIncremental, "removal_incremental"},
+    {TrialArm::kRemovalRebuild, "removal_rebuild"},
+    {TrialArm::kResourceOrdering, "resource_ordering"},
+    {TrialArm::kUpDown, "updown"},
+});
 
-/// Stable lowercase identifier ("untreated", "removal_incremental", ...).
-std::string ArmName(TrialArm arm);
-
-/// Inverse of ArmName; nullopt for unknown names.
-std::optional<TrialArm> ParseArm(const std::string& name);
+inline std::vector<TrialArm> AllArms() { return kArmNames.All(); }
+inline std::string ArmName(TrialArm arm) { return kArmNames.Name(arm); }
+inline std::optional<TrialArm> ParseArm(const std::string& name) {
+  return kArmNames.Parse(name);
+}
 
 /// Where a trial's design comes from: the application-specific
 /// synthesizer (src/soc/synthetic + src/synth) or one of the standard
@@ -70,15 +79,22 @@ enum class DesignSource {
   kFatTree,
 };
 
-/// All sources, in the fixed campaign order.
-std::vector<DesignSource> AllSources();
+/// Stable lowercase source names, in the fixed campaign order.
+inline constexpr auto kSourceNames = MakeEnumTable<DesignSource>({
+    {DesignSource::kSynthesized, "synthesized"},
+    {DesignSource::kMesh, "mesh"},
+    {DesignSource::kTorus, "torus"},
+    {DesignSource::kRing, "ring"},
+    {DesignSource::kFatTree, "fat_tree"},
+});
 
-/// Stable lowercase identifier ("synthesized", "mesh", "torus", "ring",
-/// "fat_tree").
-std::string SourceName(DesignSource source);
-
-/// Inverse of SourceName; nullopt for unknown names.
-std::optional<DesignSource> ParseSource(const std::string& name);
+inline std::vector<DesignSource> AllSources() { return kSourceNames.All(); }
+inline std::string SourceName(DesignSource source) {
+  return kSourceNames.Name(source);
+}
+inline std::optional<DesignSource> ParseSource(const std::string& name) {
+  return kSourceNames.Parse(name);
+}
 
 /// Size envelope the per-trial design generator draws from.
 struct DesignEnvelope {
@@ -150,6 +166,13 @@ enum class TrialVerdict {
   kMismatch,
 };
 
+inline constexpr auto kTrialVerdictNames = MakeEnumTable<TrialVerdict>({
+    {TrialVerdict::kPositiveDelivered, "positive_delivered"},
+    {TrialVerdict::kNegativeDetonated, "negative_detonated"},
+    {TrialVerdict::kArmInfeasible, "arm_infeasible"},
+    {TrialVerdict::kMismatch, "mismatch"},
+});
+
 /// Which leg of the contract broke. The shrinker minimizes against the
 /// *kind*, not the message, so a shrink step cannot silently morph one
 /// disagreement into a different one.
@@ -211,6 +234,38 @@ struct TrialRow {
 
   // Wall clock; excluded from Digest and determinism guarantees.
   double run_ms = 0.0;
+
+  /// The row schema (util/row_schema.h). The verdict digests as its
+  /// integer value; the simulation-outcome fields are what the
+  /// engine-differential mode compares.
+  template <typename Visitor>
+  void VisitFields(Visitor& v) const {
+    using namespace schema;
+    v("trial", trial_index);
+    v("design_seed", design_seed);
+    v("design", design);
+    v("source", source, kSourceNames);
+    v("arm", arm, kArmNames);
+    v("switches", switches);
+    v("links", links);
+    v("flows", flows);
+    v("channels_before", channels_before);
+    v("channels_after", channels_after, kOutcome);
+    v("certified_free", certified_free, kOutcome);
+    v("certificate_checked", certificate_checked, kOutcome);
+    v("sim_deadlocked", sim_deadlocked, kOutcome);
+    v("all_delivered", all_delivered, kOutcome);
+    v("cycles", cycles, kOutcome);
+    v("packets_offered", packets_offered, kOutcome);
+    v("packets_delivered", packets_delivered, kOutcome);
+    v("escalations", escalations, kOutcome);
+    v("verdict", verdict, kTrialVerdictNames, kOutcome | kDigestCode);
+    v("run_ms", run_ms);
+    v("mismatch_kind", mismatch_kind, kOutcome | kIfFailed);
+    v("mismatch", mismatch, kFailureText);
+    v("shrink_flows_kept", shrink_flows_kept, kIfFailed);
+    v("shrink_steps", shrink_steps, kIfFailed);
+  }
 };
 
 /// Classifies one (design, arm) pair against the contract: treat,
@@ -271,26 +326,26 @@ struct CampaignConfig {
   std::vector<SimEngine> engines;
 };
 
-struct CampaignResult {
-  std::vector<TrialRow> rows;
+struct CampaignResult : TrialRun<TrialRow> {
   /// (trial index, repro JSON) for every mismatching trial that shrunk.
   std::vector<std::pair<std::size_t, std::string>> repros;
   std::size_t mismatches = 0;
   std::size_t positives = 0;
   std::size_t detonations = 0;
   std::size_t infeasibles = 0;
-  /// FNV-1a over the deterministic row fields; byte-identical for any
-  /// thread count.
-  std::uint64_t digest = 0;
 };
 
 /// Runs the whole campaign over an internal thread pool.
 CampaignResult RunCampaign(const CampaignConfig& config);
 
 /// FNV-1a digest over the deterministic fields of \p rows, in row order.
-std::uint64_t Digest(const std::vector<TrialRow>& rows);
+inline std::uint64_t Digest(const std::vector<TrialRow>& rows) {
+  return schema::RowsDigest(rows);
+}
 
 /// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject RowToJson(const TrialRow& row);
+inline JsonObject RowToJson(const TrialRow& row) {
+  return schema::RowJson(row);
+}
 
 }  // namespace nocdr::valid

@@ -41,6 +41,7 @@
 #include "fault/plan.h"
 #include "sim/simulator.h"
 #include "util/json.h"
+#include "util/row_schema.h"
 #include "valid/campaign.h"
 
 namespace nocdr::valid {
@@ -54,6 +55,16 @@ enum class FaultVerdict {
   /// The contract broke; FaultTrialRow::mismatch says where.
   kMismatch,
 };
+
+inline constexpr auto kFaultVerdictNames = MakeEnumTable<FaultVerdict>({
+    {FaultVerdict::kReconfigured, "reconfigured"},
+    {FaultVerdict::kDisconnected, "disconnected"},
+    {FaultVerdict::kMismatch, "mismatch"},
+});
+
+inline std::string FaultVerdictName(FaultVerdict verdict) {
+  return kFaultVerdictNames.Name(verdict);
+}
 
 enum class FaultMismatchKind {
   kNone = 0,
@@ -137,11 +148,44 @@ struct FaultTrialRow {
 
   // Wall clock; excluded from Digest and determinism guarantees.
   double run_ms = 0.0;
+
+  /// The row schema (util/row_schema.h).
+  template <typename Visitor>
+  void VisitFields(Visitor& v) const {
+    using namespace schema;
+    v("trial", trial_index);
+    v("design_seed", design_seed);
+    v("design", design);
+    v("source", source, kSourceNames);
+    v("switches", switches);
+    v("links", links);
+    v("flows", flows);
+    v("channels_initial", channels_initial);
+    v("channels_final", channels_final);
+    v("table_routed", table_routed);
+    v("bursts_planned", bursts_planned);
+    v("bursts_applied", bursts_applied);
+    v("failed_links", failed_links);
+    v("failed_switches", failed_switches);
+    v("affected_flows", affected_flows);
+    v("disconnected_flows", disconnected_flows);
+    v("table_detours", table_detours);
+    v("ripup_reroutes", ripup_reroutes);
+    v("removal_iterations", removal_iterations);
+    v("removal_vcs_added", removal_vcs_added);
+    v("drain_cycles", drain_cycles);
+    v("drain_delivered", drain_delivered);
+    v("post_delivered", post_delivered);
+    v("midflight_dropped", midflight_dropped);
+    v("midflight_delivered", midflight_delivered);
+    v("midflight_deadlocks", midflight_deadlocks);
+    v("verdict", verdict, kFaultVerdictNames);
+    v("run_ms", run_ms);
+    v("mismatch_kind", mismatch_kind, kIfFailed);
+    v("mismatch", mismatch, kFailureText);
+  }
 };
 
-/// Stable lowercase identifier ("reconfigured", "disconnected",
-/// "mismatch").
-std::string FaultVerdictName(FaultVerdict verdict);
 
 struct FaultCampaignConfig {
   /// Trial i draws source sources[i % sources.size()] with seed
@@ -161,23 +205,23 @@ struct FaultCampaignConfig {
 FaultTrialRow RunFaultTrial(DesignSource source, std::uint64_t seed,
                             const FaultCampaignConfig& config);
 
-struct FaultCampaignResult {
-  std::vector<FaultTrialRow> rows;
+struct FaultCampaignResult : TrialRun<FaultTrialRow> {
   std::size_t reconfigured = 0;
   std::size_t disconnected = 0;
   std::size_t mismatches = 0;
-  /// FNV-1a over the deterministic row fields; byte-identical for any
-  /// thread count.
-  std::uint64_t digest = 0;
 };
 
 /// Runs the whole campaign over an internal thread pool.
 FaultCampaignResult RunFaultCampaign(const FaultCampaignConfig& config);
 
 /// FNV-1a digest over the deterministic fields of \p rows, in order.
-std::uint64_t FaultDigest(const std::vector<FaultTrialRow>& rows);
+inline std::uint64_t FaultDigest(const std::vector<FaultTrialRow>& rows) {
+  return schema::RowsDigest(rows);
+}
 
 /// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject FaultRowToJson(const FaultTrialRow& row);
+inline JsonObject FaultRowToJson(const FaultTrialRow& row) {
+  return schema::RowJson(row);
+}
 
 }  // namespace nocdr::valid

@@ -42,6 +42,7 @@
 #include "deadlock/removal.h"
 #include "fault/plan.h"
 #include "util/json.h"
+#include "util/row_schema.h"
 #include "valid/campaign.h"
 
 namespace nocdr::valid {
@@ -55,6 +56,16 @@ enum class SessionVerdict {
   /// The contract broke; SessionTrialRow::mismatch says where.
   kMismatch,
 };
+
+inline constexpr auto kSessionVerdictNames = MakeEnumTable<SessionVerdict>({
+    {SessionVerdict::kStreamed, "streamed"},
+    {SessionVerdict::kDisconnected, "disconnected"},
+    {SessionVerdict::kMismatch, "mismatch"},
+});
+
+inline std::string SessionVerdictName(SessionVerdict verdict) {
+  return kSessionVerdictNames.Name(verdict);
+}
 
 enum class SessionMismatchKind {
   kNone = 0,
@@ -128,11 +139,42 @@ struct SessionTrialRow {
 
   // Wall clock; excluded from Digest and determinism guarantees.
   double run_ms = 0.0;
+
+  /// The row schema (util/row_schema.h).
+  template <typename Visitor>
+  void VisitFields(Visitor& v) const {
+    using namespace schema;
+    v("trial", trial_index);
+    v("design_seed", design_seed);
+    v("design", design);
+    v("source", source, kSourceNames);
+    v("switches", switches);
+    v("links", links);
+    v("flows", flows);
+    v("channels_initial", channels_initial);
+    v("channels_final", channels_final);
+    v("table_routed", table_routed);
+    v("bursts_planned", bursts_planned);
+    v("bursts_streamed", bursts_streamed);
+    v("events_unnamed", events_unnamed);
+    v("final_epoch", final_epoch);
+    v("affected_flows", affected_flows);
+    v("disconnected_flows", disconnected_flows);
+    v("table_detours", table_detours);
+    v("ripup_reroutes", ripup_reroutes);
+    v("removal_iterations", removal_iterations);
+    v("removal_vcs_added", removal_vcs_added);
+    v("failed_links", failed_links);
+    v("failed_switches", failed_switches);
+    v("final_key", final_key);
+    v("session_digest", session_digest);
+    v("verdict", verdict, kSessionVerdictNames);
+    v("run_ms", run_ms);
+    v("mismatch_kind", mismatch_kind, kIfFailed);
+    v("mismatch", mismatch, kFailureText);
+  }
 };
 
-/// Stable lowercase identifier ("streamed", "disconnected",
-/// "mismatch").
-std::string SessionVerdictName(SessionVerdict verdict);
 
 struct SessionCampaignConfig {
   /// Trial i draws source sources[i % sources.size()] with seed
@@ -156,23 +198,24 @@ struct SessionCampaignConfig {
 SessionTrialRow RunSessionTrial(DesignSource source, std::uint64_t seed,
                                 const SessionCampaignConfig& config);
 
-struct SessionCampaignResult {
-  std::vector<SessionTrialRow> rows;
+struct SessionCampaignResult : TrialRun<SessionTrialRow> {
   std::size_t streamed = 0;
   std::size_t disconnected = 0;
   std::size_t mismatches = 0;
-  /// FNV-1a over the deterministic row fields; byte-identical for any
-  /// thread count.
-  std::uint64_t digest = 0;
 };
 
 /// Runs the whole campaign over an internal thread pool.
 SessionCampaignResult RunSessionCampaign(const SessionCampaignConfig& config);
 
 /// FNV-1a digest over the deterministic fields of \p rows, in order.
-std::uint64_t SessionCampaignDigest(const std::vector<SessionTrialRow>& rows);
+inline std::uint64_t SessionCampaignDigest(
+    const std::vector<SessionTrialRow>& rows) {
+  return schema::RowsDigest(rows);
+}
 
 /// Renders \p row as a flat JSON object for BENCH_*.json emission.
-JsonObject SessionRowToJson(const SessionTrialRow& row);
+inline JsonObject SessionRowToJson(const SessionTrialRow& row) {
+  return schema::RowJson(row);
+}
 
 }  // namespace nocdr::valid

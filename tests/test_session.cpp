@@ -206,12 +206,7 @@ TEST(SessionProtocolTest, RejectsUnknownVersionsTypesAndMalformedFields) {
 }
 
 TEST(SessionProtocolTest, ErrorCodeNamesRoundTrip) {
-  for (const ErrorCode code :
-       {ErrorCode::kNone, ErrorCode::kInvalidRequest,
-        ErrorCode::kUnsupportedVersion, ErrorCode::kUnknownType,
-        ErrorCode::kUnknownSession, ErrorCode::kStaleEpoch,
-        ErrorCode::kSessionLimit, ErrorCode::kOverloaded,
-        ErrorCode::kComputeFailed, ErrorCode::kInternal}) {
+  for (const ErrorCode code : serve::kErrorCodeNames.All()) {
     EXPECT_EQ(serve::ParseErrorCode(serve::ErrorCodeName(code)), code);
   }
 }

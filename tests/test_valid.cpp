@@ -356,6 +356,30 @@ TEST(ReproTest, DumpReplayRoundTrip) {
   EXPECT_EQ(valid::ReproToJson(reparsed), valid::ReproToJson(repro));
 }
 
+TEST(ReproTest, EveryEngineRoundTrips) {
+  // A mismatch found under any engine must replay under that engine.
+  valid::Repro repro;
+  repro.design = MakeApproachRingDesign(6, 3);
+  for (const SimEngine engine : AllEngines()) {
+    repro.workload.engine = engine;
+    const std::string dump = valid::ReproToJson(repro);
+    EXPECT_NE(dump.find("\"engine\":\"" + EngineName(engine) + "\""),
+              std::string::npos);
+    EXPECT_EQ(valid::ReproFromJson(dump).workload.engine, engine)
+        << EngineName(engine);
+  }
+  std::string dump = valid::ReproToJson(repro);
+  const std::size_t at = dump.find("\"engine\":\"event\"");
+  ASSERT_NE(at, std::string::npos);
+  dump.replace(at, 16, "\"engine\":\"warp\"");
+  try {
+    valid::ReproFromJson(dump);
+    ADD_FAILURE() << "unknown engine accepted";
+  } catch (const InvalidModelError& e) {
+    EXPECT_STREQ(e.what(), "ReproFromJson: unknown sim engine \"warp\"");
+  }
+}
+
 TEST(ReproTest, MalformedJsonThrows) {
   EXPECT_THROW(valid::ReproFromJson("{"), InvalidModelError);
   EXPECT_THROW(valid::ReproFromJson("{\"version\":2}"), InvalidModelError);
