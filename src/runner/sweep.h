@@ -77,7 +77,8 @@ struct SweepRow {
   /// The row schema (util/row_schema.h).
   template <typename Visitor>
   void VisitFields(Visitor& v) const {
-    using namespace schema;
+    using schema::kDigestOnly;
+    using schema::kFailureText;
     v("job_index", job_index, kDigestOnly);
     v("design", design);
     v("variant", variant);

@@ -240,7 +240,10 @@ struct TrialRow {
   /// engine-differential mode compares.
   template <typename Visitor>
   void VisitFields(Visitor& v) const {
-    using namespace schema;
+    using schema::kDigestCode;
+    using schema::kFailureText;
+    using schema::kIfFailed;
+    using schema::kOutcome;
     v("trial", trial_index);
     v("design_seed", design_seed);
     v("design", design);

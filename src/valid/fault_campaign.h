@@ -152,7 +152,8 @@ struct FaultTrialRow {
   /// The row schema (util/row_schema.h).
   template <typename Visitor>
   void VisitFields(Visitor& v) const {
-    using namespace schema;
+    using schema::kFailureText;
+    using schema::kIfFailed;
     v("trial", trial_index);
     v("design_seed", design_seed);
     v("design", design);
