@@ -14,8 +14,8 @@
 // It also times GenerateStandardDesign itself on two large tori
 // (torus32x32, torus48x48): generation builds and validates an S x S
 // next-hop table, so its cost is the first thing a large request pays.
-// And it times CanonicalizeDesign (torus24x24, mesh16x16), the text
-// round trip behind every cache key, which a miss pays next.
+// And it times CanonicalizeDesign (torus24x24, mesh16x16), the
+// canonical form behind every cache key, which a miss pays next.
 // Rows land in BENCH_topology_families.json (sections "family_point",
 // "family_summary", "generate" and "codec") for the CI perf gate to diff
 // against bench/baselines/; generate_latency_us and

@@ -1,6 +1,7 @@
 #include "deadlock/verify.h"
 
-#include <deque>
+#include <algorithm>
+#include <numeric>
 
 #include "cdg/cdg.h"
 #include "util/error.h"
@@ -18,38 +19,70 @@ DeadlockCertificate CertifyFromCdg(const NocDesign& design,
           "CertifyFromCdg: CDG vertex count does not match the design's "
           "channel count (graph out of sync)");
   DeadlockCertificate cert;
+  if (auto order = TopologicalOrder(cdg)) {
+    cert.deadlock_free = true;
+    cert.topological_order = std::move(*order);
+  } else if (auto cycle = SmallestCycle(cdg)) {
+    cert.counterexample = std::move(*cycle);
+  }
+  return cert;
+}
 
-  // Kahn's algorithm, keeping the emission order as the certificate.
+std::optional<std::vector<ChannelId>> TopologicalOrder(
+    const ChannelDependencyGraph& cdg,
+    const std::vector<std::uint32_t>& renumber) {
   const std::size_t n = cdg.VertexCount();
-  std::vector<std::size_t> in_degree(n, 0);
+  std::vector<std::uint32_t> identity;
+  if (renumber.empty()) {
+    identity.resize(n);
+    std::iota(identity.begin(), identity.end(), 0);
+  }
+  const std::vector<std::uint32_t>& id = renumber.empty() ? identity : renumber;
+  Require(id.size() == n,
+          "TopologicalOrder: the renumbering does not cover the graph");
+  constexpr std::uint32_t kUnset = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> vertex_of(n, kUnset);
+  for (std::size_t v = 0; v < n; ++v) {
+    Require(id[v] < n && vertex_of[id[v]] == kUnset,
+            "TopologicalOrder: the renumbering is not a permutation");
+    vertex_of[id[v]] = static_cast<std::uint32_t>(v);
+  }
+  std::vector<std::uint32_t> in_degree(n, 0);
   for (const CdgEdge& e : cdg.Edges()) {
     ++in_degree[e.to.value()];
   }
-  std::deque<ChannelId> ready;
-  for (std::size_t v = 0; v < n; ++v) {
+  // Kahn's algorithm with a FIFO queue; the queue's pop order is the
+  // emission order, so `order` is the queue.
+  std::vector<ChannelId> order;
+  order.reserve(n);
+  for (const std::uint32_t v : vertex_of) {
     if (in_degree[v] == 0) {
-      ready.emplace_back(ChannelId(v));
+      order.emplace_back(v);
     }
   }
-  while (!ready.empty()) {
-    const ChannelId v = ready.front();
-    ready.pop_front();
-    cert.topological_order.push_back(v);
-    for (const auto& ref : cdg.OutEdges(v)) {
-      const ChannelId w = ref.to;
+  std::vector<ChannelId> successors;
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    successors.clear();
+    for (const auto& ref : cdg.OutEdges(order[head])) {
+      successors.push_back(ref.to);
+    }
+    std::sort(successors.begin(), successors.end(),
+              [&](ChannelId a, ChannelId b) {
+                return id[a.value()] < id[b.value()];
+              });
+    for (const ChannelId w : successors) {
       if (--in_degree[w.value()] == 0) {
-        ready.push_back(w);
+        order.push_back(w);
       }
     }
   }
-  cert.deadlock_free = cert.topological_order.size() == n;
-  if (!cert.deadlock_free) {
-    cert.topological_order.clear();
-    if (auto cycle = SmallestCycle(cdg)) {
-      cert.counterexample = std::move(*cycle);
-    }
+  if (order.size() != n) {
+    return std::nullopt;
   }
-  return cert;
+  for (ChannelId& c : order) {
+    c = ChannelId(id[c.value()]);
+  }
+  return order;
 }
 
 bool CheckCertificate(const NocDesign& design,

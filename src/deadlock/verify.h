@@ -8,6 +8,8 @@
 // flows expect.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,18 @@ DeadlockCertificate CertifyDeadlockFreedom(const NocDesign& design);
 /// directly and trusts no CDG at all.
 DeadlockCertificate CertifyFromCdg(const NocDesign& design,
                                    const ChannelDependencyGraph& cdg);
+
+/// Kahn's order of \p cdg as the certificates above emit it, on the
+/// graph with channel c renumbered to renumber[c] (a permutation of the
+/// vertex ids; empty keeps the ids): ready vertices and each vertex's
+/// successors are taken by ascending new id, so the order equals the
+/// topological_order CertifyDeadlockFreedom gives on the renumbered
+/// design, in new ids. A session proves its live graph acyclic this way
+/// and certifies the canonical design (util/canonical) at the same
+/// time. Nullopt when the graph has a cycle.
+std::optional<std::vector<ChannelId>> TopologicalOrder(
+    const ChannelDependencyGraph& cdg,
+    const std::vector<std::uint32_t>& renumber = {});
 
 /// Re-validates a positive certificate against the design from scratch:
 /// the order must contain every channel exactly once and every

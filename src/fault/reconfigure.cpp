@@ -1,6 +1,7 @@
 #include "fault/reconfigure.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.h"
 
@@ -84,7 +85,7 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
   if (report.infeasible()) {
     return false;
   }
-  state = std::move(next);
+  const FaultState previous = std::exchange(state, std::move(next));
 
   // 3. Mirror the rip-up into the CDG before any route changes.
   if (cdg != nullptr) {
@@ -98,7 +99,8 @@ bool ReconfigureCore(NocDesign& design, ChannelDependencyGraph* cdg,
   if (options.table != nullptr) {
     report.table_pairs_disconnected = PatchNextHopTable(
         design.topology, *options.table, state.failed_links,
-        state.failed_switches);
+        state.failed_switches, previous.failed_links,
+        previous.failed_switches);
     for (const FlowId f : report.affected_flows) {
       const Flow& flow = design.traffic.FlowAt(f);
       const SwitchId src = design.attachment[flow.src.value()];

@@ -454,6 +454,18 @@ NocDesign ReadDesign(std::istream& is) {
   return ReadDesign(std::string_view(text));
 }
 
+std::string_view TextToken(std::string_view name) {
+  name = name.substr(0, name.find('#'));
+  const auto begin = std::find_if_not(name.begin(), name.end(), IsSpace);
+  return {begin, std::find_if(begin, name.end(), IsSpace)};
+}
+
+std::optional<double> TextBandwidth(double value) {
+  std::string text;
+  AppendBandwidth(text, value);
+  return ParseBandwidth(text);
+}
+
 void WriteTopologyDot(std::ostream& os, const NocDesign& design) {
   const TopologyGraph& topo = design.topology;
   os << "digraph topology {\n  rankdir=LR;\n  node [shape=box];\n";

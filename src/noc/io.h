@@ -27,6 +27,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -54,6 +55,16 @@ NocDesign ReadDesign(std::string_view text);
 
 /// ReadDesign of the rest of \p is.
 NocDesign ReadDesign(std::istream& is);
+
+/// What ReadDesign keeps of a name AppendDesignText rendered: its first
+/// whitespace-delimited token before any '#'. A switch or core name
+/// survives the text iff this equals it.
+std::string_view TextToken(std::string_view name);
+
+/// What ReadDesign reads back for a flow bandwidth AppendDesignText
+/// rendered from \p value (six significant digits); nullopt where it
+/// reads nothing (an infinite value).
+std::optional<double> TextBandwidth(double value);
 
 /// Graphviz (dot) rendering of the switch topology: switches as nodes,
 /// links as edges labelled with their VC count.

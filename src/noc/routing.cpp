@@ -1,6 +1,8 @@
 #include "noc/routing.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 
@@ -24,6 +26,39 @@ void RouteSet::SetRoute(FlowId f, Route route) {
   routes_[f.value()] = std::move(route);
 }
 
+namespace {
+
+/// Index of the first hop of route[0, end) that repeats an earlier hop,
+/// or \p end. Routes are short, so most take the allocation-free
+/// quadratic scan; long ones sort (channel, index) pairs instead.
+std::size_t FirstRepeat(const Route& route, std::size_t end) {
+  constexpr std::size_t kScanLimit = 32;
+  if (end <= kScanLimit) {
+    for (std::size_t i = 1; i < end; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (route[j] == route[i]) {
+          return i;
+        }
+      }
+    }
+    return end;
+  }
+  std::vector<std::pair<ChannelId, std::size_t>> hops(end);
+  for (std::size_t i = 0; i < end; ++i) {
+    hops[i] = {route[i], i};
+  }
+  std::sort(hops.begin(), hops.end());
+  std::size_t first = end;
+  for (std::size_t k = 1; k < end; ++k) {
+    if (hops[k].first == hops[k - 1].first) {
+      first = std::min(first, hops[k].second);
+    }
+  }
+  return first;
+}
+
+}  // namespace
+
 void ValidateRoute(const TopologyGraph& topology, const Route& route,
                    SwitchId src_switch, SwitchId dst_switch,
                    const std::string& what) {
@@ -33,13 +68,16 @@ void ValidateRoute(const TopologyGraph& topology, const Route& route,
     });
     return;
   }
-  std::unordered_set<ChannelId> seen;
-  for (std::size_t i = 0; i < route.size(); ++i) {
-    Require(topology.IsValidChannel(route[i]),
-            [&] { return what + ": route references unknown channel"; });
-    Require(seen.insert(route[i]).second,
-            [&] { return what + ": route repeats a channel (routing loop)"; });
+  // The first hop that is unknown or repeats an earlier one names the
+  // error: a repeat inside the known prefix, else the unknown hop.
+  std::size_t known = 0;
+  while (known < route.size() && topology.IsValidChannel(route[known])) {
+    ++known;
   }
+  Require(FirstRepeat(route, known) == known,
+          [&] { return what + ": route repeats a channel (routing loop)"; });
+  Require(known == route.size(),
+          [&] { return what + ": route references unknown channel"; });
   const Link& first = topology.LinkAt(topology.ChannelAt(route.front()).link);
   Require(first.src == src_switch, [&] {
     return what + ": route does not start at the source switch";

@@ -574,6 +574,24 @@ CertResponse CertificationService::ServeMaterialized(
   return response;
 }
 
+CertificationService::Published CertificationService::Publish(
+    const std::string& canonical_text, const CertRequest& request,
+    const std::function<CachedCertification()>& make_value) {
+  Published out;
+  out.key = CanonicalTextDigest(canonical_text, request.options, request.treat);
+  if (!config_.cache_enabled) {
+    out.value = std::make_shared<const CachedCertification>(make_value());
+    return out;
+  }
+  std::string key_text = CacheKeyText(canonical_text, request);
+  out.value = cache_.Lookup(out.key, key_text);
+  if (out.value == nullptr) {
+    out.value = std::make_shared<const CachedCertification>(make_value());
+    cache_.Insert(out.key, std::move(key_text), *out.value);
+  }
+  return out;
+}
+
 std::vector<CertResponse> CertificationService::ServeBatch(
     const std::vector<CertRequest>& requests, std::size_t client_threads) {
   if (client_threads == 0) {

@@ -5,12 +5,12 @@
 // noc/io design text, a standard-topology generator spec (src/gen), or
 // a campaign design source + seed (src/valid) — plus the removal
 // options to treat it with. The service materializes the design,
-// canonicalizes it (util/canonical: flow sort + io fixpoint, so flow
-// declaration order, comments and channel numbering never split the
-// cache), and serves the certificate + VC-insertion result through a
-// sharded LRU cache (serve/cert_cache) fronted by a single-flight
-// coalescer (serve/coalescer) running computations on the runner
-// thread pool.
+// canonicalizes it (util/canonical: flow sort + link-major channel
+// numbering, so flow declaration order, comments and channel numbering
+// never split the cache), and serves the certificate + VC-insertion
+// result through a sharded LRU cache (serve/cert_cache) fronted by a
+// single-flight coalescer (serve/coalescer) running computations on
+// the runner thread pool.
 //
 // Determinism contract: the response *payload* (certificate JSON,
 // treated design text, VC counts) is a pure function of the canonical
@@ -48,6 +48,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -226,7 +227,8 @@ struct CertResponse {
 /// + rejected + errors; the split between hits and coalesced depends on
 /// request interleaving, but computations is exactly the number of
 /// distinct keys computed while no eviction interferes (the coalescer's
-/// exactly-once contract).
+/// exactly-once contract). Publish calls (session epochs) count in none
+/// of them; their lookups and inserts show in the cache tiers' stats.
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t hits = 0;
@@ -318,6 +320,25 @@ class CertificationService {
   /// canonical problem. The request's design-source fields are ignored.
   CertResponse ServeDesign(const NocDesign& design,
                            const CertRequest& request);
+
+  /// What Publish resolved: the canonical key and the cached value.
+  struct Published {
+    std::uint64_t key = 0;
+    std::shared_ptr<const CachedCertification> value;
+  };
+
+  /// Publishes a certification the caller proved itself (a session
+  /// epoch, certified from its live CDG) under the canonical key of
+  /// (\p canonical_text, \p request's options and treat). A resident
+  /// entry is returned as it is; on a miss make_value() is inserted,
+  /// writing through to the disk tier. No admission check, no
+  /// coalescer, no pool hop, and no ServiceStats counter: a publish is
+  /// not a request. make_value() must equal what the certifier computes
+  /// for the canonical design, so that the cache still holds only
+  /// values a recompute would give.
+  Published Publish(const std::string& canonical_text,
+                    const CertRequest& request,
+                    const std::function<CachedCertification()>& make_value);
 
   /// Serves \p requests over \p client_threads caller-side threads
   /// (0 = the compute pool width); responses come back indexed like the

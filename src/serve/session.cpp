@@ -1,7 +1,9 @@
 #include "serve/session.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "cdg/cdg.h"
 #include "cdg/incremental.h"
@@ -23,10 +25,9 @@ namespace nocdr::serve {
 /// object lives in a shared_ptr so a concurrent close can never free it
 /// under a burst.
 struct SessionService::Session {
-  Session(std::string session_id, NocDesign live, NextHopTable next_hops,
+  Session(NocDesign live, NextHopTable next_hops,
           RemovalOptions removal_options)
-      : id(std::move(session_id)),
-        options(removal_options),
+      : options(removal_options),
         design(std::move(live)),
         cdg(ChannelDependencyGraph::Build(design)),
         finder(cdg),
@@ -46,7 +47,8 @@ struct SessionService::Session {
   std::mutex mutex;
   bool closed = false;
 
-  const std::string id;
+  /// Assigned when an open registers the session.
+  std::string id;
   const RemovalOptions options;
 
   // The live quadruple ApplyFaultBurst advances. `finder` references
@@ -66,6 +68,17 @@ struct SessionService::Session {
   bool deadlock_free = false;
   std::string certificate_json;
 };
+
+namespace {
+
+/// Time of an epoch publish (the open.publish and burst.publish spans).
+obs::Histogram& PublishHistogram() {
+  static obs::Histogram& histogram =
+      obs::Metrics().GetHistogram("session.publish_us");
+  return histogram;
+}
+
+}  // namespace
 
 SessionService::SessionService(CertificationService& service,
                                SessionServiceConfig config)
@@ -236,44 +249,40 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
     return response;
   }
 
-  // Second, canonical-fixpoint serve: the treated design re-serves as
-  // pure content, giving the session the exact certificate + key any
-  // stateless client re-shipping the session's current design text
-  // would get. Treatment is a no-op (the design is already deadlock
-  // free), so this costs one canonicalization — and it seeds the
-  // epoch-0 cache entry the session's snapshot text resolves to.
-  CertResponse fixpoint;
-  {
-    obs::ScopedSpan span("open.fixpoint");
-    fixpoint = service_.ServeDesign(ReadDesign(treated.treated_design_text),
-                                    cert);
+  // Epoch 0 is the treated design as content: its canonical form
+  // becomes the live design, so the session's text, key and certificate
+  // are exactly what a stateless client re-shipping that text gets, and
+  // it is published the way every later epoch is.
+  std::shared_ptr<Session> session;
+  std::string canonical_text;
+  bool acyclic = false;
+  try {
+    obs::ScopedSpan span("open.publish");
+    obs::ScopedHistogramTimer timer(PublishHistogram());
+    CanonicalDesign canonical =
+        CanonicalizeDesign(ReadDesign(treated.treated_design_text));
+    canonical_text = std::move(canonical.text);
+    session = std::make_shared<Session>(std::move(canonical.design),
+                                        std::move(table), request.options);
+    acyclic = PublishEpoch(*session, canonical_text);
+  } catch (...) {
+    release_slot();
+    throw;
   }
-  if (fixpoint.status != ServeStatus::kOk) {
+  if (!acyclic) {
     release_slot();
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fixpoint.status == ServeStatus::kOverloaded) {
-      ++stats_.open_rejected;
-    } else {
-      ++stats_.errors;
-    }
-    response.status = fixpoint.status;
-    response.error = fixpoint.error;
+    ++stats_.errors;
+    response.status = ServeStatus::kError;
+    response.error = ErrorInfo{ErrorCode::kComputeFailed,
+                               "the treated design's CDG has a cycle"};
     return response;
   }
-
-  NocDesign live = ReadDesign(fixpoint.treated_design_text);
-
-  std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --opening_;
-    const std::string session_id = "s" + std::to_string(next_session_++);
-    session = std::make_shared<Session>(session_id, std::move(live),
-                                        std::move(table), request.options);
-    session->key = fixpoint.key;
-    session->deadlock_free = fixpoint.deadlock_free;
-    session->certificate_json = fixpoint.certificate_json;
-    sessions_.emplace(session_id, session);
+    session->id = "s" + std::to_string(next_session_++);
+    sessions_.emplace(session->id, session);
     ++stats_.opened;
     ++stats_.epochs_served;
   }
@@ -290,7 +299,7 @@ SessionResponse SessionService::Open(const SessionRequest& request) {
   response.deadlock_free = session->deadlock_free;
   response.certificate_json = session->certificate_json;
   if (request.return_design) {
-    response.design_text = fixpoint.treated_design_text;
+    response.design_text = std::move(canonical_text);
   }
   response.cache_outcome = treated.cache_outcome;
   return response;
@@ -404,16 +413,15 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   session.epoch += 1;
   session.bursts_applied += 1;
 
-  // The incremental re-certification: the removal above ran on the
-  // maintained CDG (RemoveDeadlocksOnCdg inside ApplyFaultBurst);
-  // CertifyFromCdg proves the surviving graph acyclic at dirty-SCC
-  // cost before the epoch's certificate is published.
-  DeadlockCertificate live_certificate;
+  // The removal above ran on the maintained CDG (RemoveDeadlocksOnCdg
+  // inside ApplyFaultBurst); the publish proves that graph acyclic.
+  bool acyclic = false;
   {
-    obs::ScopedSpan span("burst.recertify");
-    live_certificate = CertifyFromCdg(session.design, session.cdg);
+    obs::ScopedSpan span("burst.publish");
+    obs::ScopedHistogramTimer timer(PublishHistogram());
+    acyclic = PublishEpoch(session, CanonicalizeDesign(session.design).text);
   }
-  if (!live_certificate.deadlock_free) {
+  if (!acyclic) {
     session.closed = true;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -422,11 +430,6 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
     }
     return fail(ErrorCode::kComputeFailed,
                 "post-burst CDG has a cycle (session closed)");
-  }
-
-  {
-    obs::ScopedSpan span("burst.publish");
-    PublishEpoch(session, request);
   }
 
   response.epoch = session.epoch;
@@ -451,41 +454,39 @@ SessionResponse SessionService::Burst(const SessionRequest& request,
   return response;
 }
 
-void SessionService::PublishEpoch(Session& session,
-                                  const SessionRequest& request) {
-  if (config_.publish_epochs) {
-    CertRequest cert;
-    cert.protocol_version = request.protocol_version;
-    cert.id = request.id;
-    cert.options = session.options;
-    cert.treat = true;
-    cert.return_design = false;
-    // Publish through the service: the epoch's certificate lands in the
-    // shared cert cache under the canonical key of the *current* design
-    // — stateless clients re-shipping the session's snapshot text hit
-    // it, and no earlier epoch's key can ever resolve to it. With a
-    // persistent tier configured (ServiceConfig::cache_dir) this same
-    // insert writes through to disk, so a restarted server serves the
-    // session's latest epoch — not a stale pre-burst one — warm: the
-    // epoch-versioned keys make every republication content-addressed.
-    const CertResponse published = service_.ServeDesign(session.design, cert);
-    if (published.status == ServeStatus::kOk) {
-      session.key = published.key;
-      session.deadlock_free = published.deadlock_free;
-      session.certificate_json = published.certificate_json;
-      return;
-    }
-    // Overloaded (or a failure injected by a test certifier): fall
-    // through to the local computation — the session must still answer,
-    // and the bytes below are exactly what the service would cache.
+bool SessionService::PublishEpoch(Session& session,
+                                  const std::string& canonical_text) {
+  // One Kahn pass over the live graph in canonical channel order proves
+  // the epoch acyclic and gives the certificate a stateless certify of
+  // canonical_text computes.
+  std::optional<std::vector<ChannelId>> order = TopologicalOrder(
+      session.cdg, CanonicalChannelIds(session.design.topology));
+  if (!order) {
+    return false;
   }
-  const CanonicalDesign canonical = CanonicalizeDesign(session.design);
-  session.key =
-      CanonicalTextDigest(canonical.text, session.options, /*treat=*/true);
-  const DeadlockCertificate certificate =
-      CertifyDeadlockFreedom(canonical.design);
-  session.deadlock_free = certificate.deadlock_free;
-  session.certificate_json = CertificateToJson(certificate);
+  CertRequest request;
+  request.options = session.options;
+  request.treat = true;
+  const CertificationService::Published published =
+      service_.Publish(canonical_text, request, [&] {
+        // ComputeCertification's value for an acyclic design: treatment
+        // finds nothing to do.
+        DeadlockCertificate certificate;
+        certificate.deadlock_free = true;
+        certificate.topological_order = std::move(*order);
+        CachedCertification value;
+        value.certificate_json = CertificateToJson(certificate);
+        value.treated_design_text = canonical_text;
+        value.deadlock_free = true;
+        value.initially_deadlock_free = true;
+        value.channels_before = session.design.topology.ChannelCount();
+        value.channels_after = value.channels_before;
+        return value;
+      });
+  session.key = published.key;
+  session.deadlock_free = published.value->deadlock_free;
+  session.certificate_json = published.value->certificate_json;
+  return true;
 }
 
 SessionResponse SessionService::Snapshot(const SessionRequest& request,

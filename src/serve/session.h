@@ -10,7 +10,7 @@
 // fault_burst message then advances the session one epoch through the
 // online pipeline — fault::ApplyFaultBurst re-routes affected flows and
 // mirrors the churn into the live CDG, RemoveDeadlocksOnCdg re-treats
-// incrementally, CertifyFromCdg re-certifies at dirty-SCC cost — and
+// incrementally, and one Kahn pass over the live CDG re-certifies — and
 // the delta response carries the detour/rip-up split, VCs added, the
 // fresh certificate and the new epoch number. session_snapshot returns
 // the current design text + certificate; session_close retires the
@@ -21,19 +21,24 @@
 // cert cache, keyed by the canonical form of that epoch's design — a
 // later epoch's design is different content, so it lands on a different
 // key and a session can never be answered with a stale certificate.
-// The published entry is recomputed on the canonical design (not the
-// session's live channel numbering), keeping the service's invariant
-// that a cached payload is bit-identical to a from-scratch recompute;
-// the live-CDG certificate gates the publish (the expensive removal ran
-// incrementally; CertifyFromCdg proves the result acyclic first). The
-// differential session campaign (src/valid/session_campaign) holds a
-// streamed session and a stateless replay to byte-identical responses.
+// The publish recomputes nothing. Kahn's algorithm runs once over the
+// live CDG with its channels renumbered to the canonical design's
+// link-major ids (util/canonical), taking vertices and successors by
+// ascending canonical id: that one pass proves the epoch acyclic and
+// yields exactly the certificate CertifyDeadlockFreedom gives on the
+// canonical design, so the published entry keeps the service's
+// invariant that a cached payload is bit-identical to a from-scratch
+// recompute. Epoch 0 (the treated design of the open) is published the
+// same way. A publish passes no admission check and no coalescer
+// (CertificationService::Publish). The differential session campaign
+// (src/valid/session_campaign) holds a streamed session and a stateless
+// replay to byte-identical responses.
 //
 // Concurrency and lifecycle: opens are admission-bounded
-// (max_sessions); the epoch-0 certification runs through the service's
-// coalescer, so concurrent opens of the same design share one
-// computation with stateless clients. Bursts/snapshots on one session
-// serialize on that session's mutex; distinct sessions proceed in
+// (max_sessions); the open's treatment runs through the service's
+// coalescer and admission bound, so concurrent opens of the same design
+// share one computation with stateless clients. Bursts/snapshots on one
+// session serialize on that session's mutex; distinct sessions proceed in
 // parallel. Lifecycle violations (burst on a closed or never-opened
 // session, double close, stale expect_epoch) are structured-error
 // responses, never exceptions.
@@ -167,10 +172,6 @@ struct SessionServiceConfig {
   /// Admission bound on concurrently open sessions; opens beyond it get
   /// ErrorCode::kSessionLimit.
   std::size_t max_sessions = 256;
-  /// Publish each epoch's certificate into the service's cert cache
-  /// (see the header comment). Disabled only by benches isolating the
-  /// in-session cost.
-  bool publish_epochs = true;
 };
 
 struct SessionServiceStats {
@@ -216,10 +217,13 @@ class SessionService {
   SessionResponse Snapshot(const SessionRequest& request, Session& session);
   SessionResponse Close(const SessionRequest& request, Session& session);
   std::shared_ptr<Session> Find(const std::string& session_id);
-  /// Re-certifies the session's current design through the service
-  /// (publishing the epoch's cache entry) and refreshes the session's
-  /// key/certificate fields. Runs under the session's mutex.
-  void PublishEpoch(Session& session, const SessionRequest& request);
+  /// Certifies the session's current design from its live CDG in
+  /// canonical channel order, publishes the epoch's cache entry under
+  /// \p canonical_text (CanonicalizeDesign's text of that design) and
+  /// refreshes the session's key/certificate fields. False, publishing
+  /// nothing, when the live CDG has a cycle. Runs under the session's
+  /// mutex (or before an opening session is registered).
+  bool PublishEpoch(Session& session, const std::string& canonical_text);
 
   CertificationService& service_;
   SessionServiceConfig config_;

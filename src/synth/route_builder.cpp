@@ -228,122 +228,214 @@ bool SwitchDown(SwitchId s, const std::vector<char>& failed_switches) {
   return !failed_switches.empty() && failed_switches[s.value()];
 }
 
-}  // namespace
+/// The failure state as the per-destination repair reads it, built once
+/// per patch: a down flag per link, and each switch's surviving in-links
+/// (with their source switches) in InLinks order, ascending link id.
+struct Survivors {
+  Survivors(const TopologyGraph& topology,
+            const std::vector<char>& failed_links,
+            const std::vector<char>& failed_switches)
+      : link_down(topology.LinkCount()),
+        in_begin(topology.SwitchCount() + 1) {
+    for (std::size_t l = 0; l < link_down.size(); ++l) {
+      link_down[l] =
+          LinkDown(topology, LinkId(l), failed_links, failed_switches) ? 1 : 0;
+    }
+    for (std::size_t v = 0; v < topology.SwitchCount(); ++v) {
+      in_begin[v] = static_cast<std::uint32_t>(in_link.size());
+      for (const LinkId l : topology.InLinks(SwitchId(v))) {
+        if (!link_down[l.value()]) {
+          in_link.push_back(l);
+          in_src.push_back(topology.LinkAt(l).src.value());
+        }
+      }
+    }
+    in_begin.back() = static_cast<std::uint32_t>(in_link.size());
+  }
 
-std::size_t PatchNextHopTable(const TopologyGraph& topology,
-                              NextHopTable& table,
-                              const std::vector<char>& failed_links,
-                              const std::vector<char>& failed_switches) {
-  const std::size_t n = topology.SwitchCount();
-  Require(table.size() == n, "PatchNextHopTable: row count != switch count");
-  Require(failed_links.empty() || failed_links.size() == topology.LinkCount(),
-          "PatchNextHopTable: failed-link mask size mismatch");
-  Require(failed_switches.empty() || failed_switches.size() == n,
-          "PatchNextHopTable: failed-switch mask size mismatch");
+  std::vector<char> link_down;
+  std::vector<std::uint32_t> in_begin;
+  std::vector<LinkId> in_link;
+  std::vector<std::uint32_t> in_src;
+};
 
-  std::size_t disconnected = 0;
-  // Walk-status memo per destination: 0 unknown, 1 survives, 2 broken.
-  std::vector<std::uint8_t> status(n);
-  std::vector<std::uint32_t> dist(n);
-  std::vector<LinkId> via(n);
+/// Scratch space of the per-destination repair, reused across columns.
+struct ColumnScratch {
+  explicit ColumnScratch(std::size_t n) : status(n), dist(n), via(n) {}
+
+  /// Walk status per source: 0 unknown, 1 survives, 2 broken.
+  std::vector<std::uint8_t> status;
+  std::vector<std::uint32_t> dist;
+  std::vector<LinkId> via;
   std::vector<std::uint32_t> queue;
   std::vector<std::uint32_t> chain;
+};
+
+/// Repairs the entries toward the surviving switch \p d: re-points every
+/// source whose walk crosses a failed link or switch (or a hole, or a
+/// loop) along a shortest surviving path, and invalidates the ones the
+/// failures disconnected. Returns how many previously routable sources
+/// it disconnected.
+std::size_t PatchColumn(const TopologyGraph& topology, NextHopTable& table,
+                        std::size_t d, const std::vector<char>& failed_switches,
+                        const Survivors& survivors, ColumnScratch& scratch) {
   constexpr std::uint32_t kUnreached =
       std::numeric_limits<std::uint32_t>::max();
+  const std::size_t n = topology.SwitchCount();
+  std::vector<std::uint8_t>& status = scratch.status;
+  std::vector<std::uint32_t>& chain = scratch.chain;
+  // Classify each source's current walk toward d by pointer chasing
+  // with memoization: broken iff it crosses a failed link/switch or a
+  // hole before reaching d.
+  std::fill(status.begin(), status.end(), std::uint8_t{0});
+  status[d] = 1;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (status[s] != 0 || !table[s][d].valid()) {
+      continue;
+    }
+    chain.clear();
+    std::size_t cur = s;
+    std::uint8_t verdict = 0;
+    while (verdict == 0) {
+      if (status[cur] != 0) {
+        verdict = status[cur];
+        break;
+      }
+      chain.push_back(static_cast<std::uint32_t>(cur));
+      if (chain.size() > n) {
+        verdict = 2;  // routing loop: the walk never reaches d
+        break;
+      }
+      if (SwitchDown(SwitchId(cur), failed_switches)) {
+        verdict = 2;
+        break;
+      }
+      const LinkId l = table[cur][d];
+      if (!l.valid() || survivors.link_down[l.value()]) {
+        verdict = 2;
+        break;
+      }
+      cur = topology.LinkAt(l).dst.value();
+    }
+    for (const std::uint32_t v : chain) {
+      status[v] = verdict;
+    }
+  }
+  // Broken entries of failed switches are dropped; the others need a
+  // surviving path.
+  std::size_t pending = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (status[s] == 2 && SwitchDown(SwitchId(s), failed_switches)) {
+      table[s][d] = LinkId();
+      status[s] = 0;
+    } else if (status[s] == 2) {
+      ++pending;
+    }
+  }
+  if (pending == 0) {
+    return 0;
+  }
+  // Backward BFS from d over surviving links: dist[s] = surviving hops
+  // from s to d, via[s] = the first link of one such shortest path.
+  // Incoming links are scanned in ascending id order, so ties break
+  // deterministically toward the lowest link id. A switch's via is
+  // fixed when it is discovered, so the search stops once every broken
+  // source is.
+  std::vector<std::uint32_t>& dist = scratch.dist;
+  std::fill(dist.begin(), dist.end(), kUnreached);
+  dist[d] = 0;
+  scratch.queue.assign(1, static_cast<std::uint32_t>(d));
+  for (std::size_t head = 0; head < scratch.queue.size() && pending > 0;
+       ++head) {
+    const std::uint32_t v = scratch.queue[head];
+    for (std::uint32_t k = survivors.in_begin[v];
+         k < survivors.in_begin[v + 1] && pending > 0; ++k) {
+      const std::uint32_t u = survivors.in_src[k];
+      if (dist[u] != kUnreached) {
+        continue;
+      }
+      dist[u] = dist[v] + 1;
+      scratch.via[u] = survivors.in_link[k];
+      scratch.queue.push_back(u);
+      pending -= status[u] == 2 ? 1 : 0;
+    }
+  }
+  std::size_t disconnected = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s == d || status[s] != 2) {
+      continue;
+    }
+    if (dist[s] == kUnreached) {
+      table[s][d] = LinkId();
+      ++disconnected;
+      continue;
+    }
+    table[s][d] = scratch.via[s];
+  }
+  return disconnected;
+}
 
+}  // namespace
+
+std::size_t PatchNextHopTable(
+    const TopologyGraph& topology, NextHopTable& table,
+    const std::vector<char>& failed_links,
+    const std::vector<char>& failed_switches,
+    const std::vector<char>& previous_failed_links,
+    const std::vector<char>& previous_failed_switches) {
+  const std::size_t n = topology.SwitchCount();
+  Require(table.size() == n, "PatchNextHopTable: row count != switch count");
+  for (const std::vector<char>* links :
+       {&failed_links, &previous_failed_links}) {
+    Require(links->empty() || links->size() == topology.LinkCount(),
+            "PatchNextHopTable: failed-link mask size mismatch");
+  }
+  for (const std::vector<char>* switches :
+       {&failed_switches, &previous_failed_switches}) {
+    Require(switches->empty() || switches->size() == n,
+            "PatchNextHopTable: failed-switch mask size mismatch");
+  }
   for (std::size_t d = 0; d < n; ++d) {
     Require(table[d].size() == n, [&] {
       return "PatchNextHopTable: malformed row " + std::to_string(d);
     });
-    if (SwitchDown(SwitchId(d), failed_switches)) {
-      // Nothing can route to a dead switch; drop every entry toward it.
-      for (std::size_t s = 0; s < n; ++s) {
-        table[s][d] = LinkId();
+  }
+
+  // A switch that failed since loses its column (nothing routes to it)
+  // and its row (it forwards nothing).
+  for (std::size_t w = 0; w < n; ++w) {
+    if (SwitchDown(SwitchId(w), failed_switches) &&
+        !SwitchDown(SwitchId(w), previous_failed_switches)) {
+      for (std::vector<LinkId>& row : table) {
+        row[w] = LinkId();
       }
+      std::fill(table[w].begin(), table[w].end(), LinkId());
+    }
+  }
+  // Every walk toward d survived the previous failures, so it breaks
+  // now exactly when a surviving switch on it forwards over a link that
+  // went down since: only those columns need the repair.
+  const Survivors survivors(topology, failed_links, failed_switches);
+  std::vector<char> dirty(n, 0);
+  for (std::size_t l = 0; l < topology.LinkCount(); ++l) {
+    const LinkId link(l);
+    const SwitchId src = topology.LinkAt(link).src;
+    if (!survivors.link_down[l] || SwitchDown(src, failed_switches) ||
+        LinkDown(topology, link, previous_failed_links,
+                 previous_failed_switches)) {
       continue;
     }
-    // Classify each source's current walk toward d by pointer chasing
-    // with memoization: broken iff it crosses a failed link/switch or a
-    // hole before reaching d.
-    std::fill(status.begin(), status.end(), std::uint8_t{0});
-    status[d] = 1;
-    bool any_broken = false;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (status[s] != 0 || !table[s][d].valid()) {
-        continue;
-      }
-      chain.clear();
-      std::size_t cur = s;
-      std::uint8_t verdict = 0;
-      while (verdict == 0) {
-        if (status[cur] != 0) {
-          verdict = status[cur];
-          break;
-        }
-        chain.push_back(static_cast<std::uint32_t>(cur));
-        if (chain.size() > n) {
-          verdict = 2;  // routing loop: the walk never reaches d
-          break;
-        }
-        if (SwitchDown(SwitchId(cur), failed_switches)) {
-          verdict = 2;
-          break;
-        }
-        const LinkId l = table[cur][d];
-        if (!l.valid() ||
-            LinkDown(topology, l, failed_links, failed_switches)) {
-          verdict = 2;
-          break;
-        }
-        cur = topology.LinkAt(l).dst.value();
-      }
-      for (const std::uint32_t v : chain) {
-        status[v] = verdict;
-      }
-      any_broken = any_broken || verdict == 2;
+    const std::vector<LinkId>& row = table[src.value()];
+    for (std::size_t d = 0; d < n; ++d) {
+      dirty[d] = dirty[d] || row[d] == link;
     }
-    if (!any_broken) {
-      continue;
-    }
-    // Backward BFS from d over surviving links: dist[s] = surviving hops
-    // from s to d, via[s] = the first link of one such shortest path.
-    // Incoming links are scanned in ascending id order, so ties break
-    // deterministically toward the lowest link id.
-    std::fill(dist.begin(), dist.end(), kUnreached);
-    for (std::size_t s = 0; s < n; ++s) {
-      via[s] = LinkId();
-    }
-    dist[d] = 0;
-    queue.assign(1, static_cast<std::uint32_t>(d));
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const SwitchId v(queue[head]);
-      for (const LinkId l : topology.InLinks(v)) {
-        if (LinkDown(topology, l, failed_links, failed_switches)) {
-          continue;
-        }
-        const std::size_t u = topology.LinkAt(l).src.value();
-        if (dist[u] != kUnreached) {
-          continue;
-        }
-        dist[u] = dist[v.value()] + 1;
-        via[u] = l;
-        queue.push_back(static_cast<std::uint32_t>(u));
-      }
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == d || status[s] != 2) {
-        continue;
-      }
-      if (SwitchDown(SwitchId(s), failed_switches)) {
-        table[s][d] = LinkId();
-        continue;
-      }
-      if (dist[s] == kUnreached) {
-        table[s][d] = LinkId();
-        ++disconnected;
-        continue;
-      }
-      table[s][d] = via[s];
+  }
+  std::size_t disconnected = 0;
+  ColumnScratch scratch(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    if (dirty[d] && !SwitchDown(SwitchId(d), failed_switches)) {
+      disconnected +=
+          PatchColumn(topology, table, d, failed_switches, survivors, scratch);
     }
   }
   return disconnected;

@@ -83,22 +83,32 @@ std::optional<Route> WalkTableRoute(const TopologyGraph& topology,
                                     const NextHopTable& table, SwitchId src,
                                     SwitchId dst);
 
-/// Table-driven detour repair: re-points every next-hop entry whose walk
-/// no longer survives the failure masks. Per destination, sources whose
-/// current walk traverses a failed link or switch (or a hole left by an
-/// earlier patch) are re-aimed along a shortest path over the surviving
-/// links (backward BFS from the destination, lowest link id wins ties);
+/// Table-driven detour repair after failures: re-points every next-hop
+/// entry whose walk no longer survives the failure masks. Per
+/// destination, sources whose current walk traverses a failed link or
+/// switch are re-aimed along a shortest path over the surviving links
+/// (backward BFS from the destination, lowest link id wins ties);
 /// intact entries are left untouched, so unaffected traffic keeps its
 /// routes — the "detour" character of table-based fault recovery.
 /// Entries from or to failed switches are invalidated. Patched tables
 /// stay loop-free: a patched prefix strictly descends the surviving-
 /// distance to the destination and hands over to an intact suffix.
-/// Returns the number of previously-routable (src, dst) pairs the
-/// failures disconnected (their entries become invalid).
-std::size_t PatchNextHopTable(const TopologyGraph& topology,
-                              NextHopTable& table,
-                              const std::vector<char>& failed_links,
-                              const std::vector<char>& failed_switches);
+///
+/// The patch is incremental. \p table must be routable under the
+/// previous masks (empty = nothing had failed): a table
+/// ValidateNextHopTable accepts, or what an earlier patch for those
+/// masks left. Only the elements that failed since cost work: a newly
+/// failed switch's column and row are cleared, and the per-destination
+/// repair runs only on columns where a surviving switch's next hop is a
+/// link that went down since. Returns the number of previously-routable
+/// (src, dst) pairs the failures disconnected (their entries become
+/// invalid).
+std::size_t PatchNextHopTable(
+    const TopologyGraph& topology, NextHopTable& table,
+    const std::vector<char>& failed_links,
+    const std::vector<char>& failed_switches,
+    const std::vector<char>& previous_failed_links = {},
+    const std::vector<char>& previous_failed_switches = {});
 
 /// Rip-up-and-reroute fallback: recomputes the routes of \p flows over
 /// the surviving topology with the same congestion-aware Dijkstra as

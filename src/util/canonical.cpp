@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "noc/io.h"
@@ -12,59 +15,42 @@ namespace nocdr {
 
 namespace {
 
-/// Channel-numbering-independent sort key of one route: the (link, vc)
-/// pairs the text format itself stores.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> RouteKey(
-    const NocDesign& design, const Route& route) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> key;
-  key.reserve(route.size());
-  for (const ChannelId c : route) {
-    const Channel& channel = design.topology.ChannelAt(c);
-    key.emplace_back(channel.link.value(), channel.vc);
-  }
-  return key;
-}
+/// Checks that the switch or core names of one namespace read back as
+/// themselves and are distinct, so that the text names the same
+/// elements the design holds.
+class NameCheck {
+ public:
+  explicit NameCheck(const char* what) : what_(what) {}
 
-/// Rebuilds \p design with its flows (and routes) permuted into the
-/// canonical order: ascending (src, dst, bandwidth, route). Topology,
-/// cores and attachment are untouched, so all ids except FlowId stay
-/// stable.
-NocDesign SortFlows(const NocDesign& design) {
-  const std::size_t flow_count = design.traffic.FlowCount();
-  std::vector<std::size_t> order(flow_count);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    const Flow& fa = design.traffic.FlowAt(FlowId(a));
-    const Flow& fb = design.traffic.FlowAt(FlowId(b));
-    if (fa.src != fb.src) {
-      return fa.src.value() < fb.src.value();
-    }
-    if (fa.dst != fb.dst) {
-      return fa.dst.value() < fb.dst.value();
-    }
-    if (fa.bandwidth_mbps != fb.bandwidth_mbps) {
-      return fa.bandwidth_mbps < fb.bandwidth_mbps;
-    }
-    return RouteKey(design, design.routes.RouteOf(FlowId(a))) <
-           RouteKey(design, design.routes.RouteOf(FlowId(b)));
-  });
+  void Add(const std::string& name) {
+    Require(TextToken(name) == name, [&] {
+      return std::string("CanonicalizeDesign: ") + what_ + " name \"" + name +
+             "\" is not a text token";
+    });
+    Require(seen_.insert(name).second, [&] {
+      return std::string("CanonicalizeDesign: duplicate ") + what_ +
+             " name \"" + name + "\"";
+    });
+  }
 
-  NocDesign out;
-  out.name = design.name;
-  out.topology = design.topology;
-  out.attachment = design.attachment;
-  for (std::size_t c = 0; c < design.traffic.CoreCount(); ++c) {
-    out.traffic.AddCore(design.traffic.CoreName(CoreId(c)));
+ private:
+  const char* what_;
+  std::unordered_set<std::string_view> seen_;
+};
+
+/// \p value as the text reads it back once its rendering is stable: a
+/// subnormal value can need a second rounding. The rounding is
+/// monotone, so the loop ends.
+double CanonicalBandwidth(double value) {
+  for (;;) {
+    const std::optional<double> rounded = TextBandwidth(value);
+    Require(rounded.has_value(),
+            "CanonicalizeDesign: a flow bandwidth is not finite");
+    if (*rounded == value) {
+      return value;
+    }
+    value = *rounded;
   }
-  out.routes.Resize(flow_count);
-  for (std::size_t i = 0; i < flow_count; ++i) {
-    const Flow& flow = design.traffic.FlowAt(FlowId(order[i]));
-    const FlowId f = out.traffic.AddFlow(flow.src, flow.dst,
-                                         flow.bandwidth_mbps);
-    out.routes.SetRoute(f, design.routes.RouteOf(FlowId(order[i])));
-  }
-  return out;
 }
 
 }  // namespace
@@ -83,28 +69,112 @@ bool IsIoStable(const NocDesign& design) {
   return DesignText(IoCanonicalize(design)) == DesignText(design);
 }
 
-CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
-  CanonicalDesign out;
-  out.text = DesignText(SortFlows(design));
-  // Drive the rendering to its round-trip fixpoint so a consumer who
-  // parses the text and re-canonicalizes gets byte-identical text (and
-  // therefore the same digest). One trip suffices in practice — the
-  // format stores link:vc pairs, not channel ids — the loop guards
-  // against io drift rather than doing expected work.
-  std::string reparsed;
-  for (int round = 0; round < 4; ++round) {
-    out.design = ReadDesign(out.text);
-    reparsed.clear();
-    AppendDesignText(reparsed, out.design);
-    if (reparsed == out.text) {
-      return out;
-    }
-    out.text.swap(reparsed);
+std::vector<std::uint32_t> CanonicalChannelIds(const TopologyGraph& topology) {
+  std::vector<std::uint32_t> first(topology.LinkCount());
+  std::uint32_t next = 0;
+  for (std::size_t l = 0; l < first.size(); ++l) {
+    first[l] = next;
+    next += static_cast<std::uint32_t>(topology.VcCount(LinkId(l)));
   }
-  throw InvalidModelError(
-      "CanonicalizeDesign: text rendering did not reach a round-trip "
-      "fixpoint for design \"" +
-      design.name + "\"");
+  std::vector<std::uint32_t> ids(topology.ChannelCount());
+  for (std::size_t c = 0; c < ids.size(); ++c) {
+    const Channel& channel = topology.ChannelAt(ChannelId(c));
+    ids[c] = first[channel.link.value()] + channel.vc;
+  }
+  return ids;
+}
+
+CanonicalDesign CanonicalizeDesign(const NocDesign& design) {
+  const TopologyGraph& topology = design.topology;
+  const CommunicationGraph& traffic = design.traffic;
+  const std::size_t flow_count = traffic.FlowCount();
+
+  // Each route's sort key, (link, vc) per hop packed into one word,
+  // computed once into one flat array.
+  std::vector<std::uint64_t> hops;
+  std::vector<std::size_t> first_hop(flow_count + 1);
+  for (std::size_t f = 0; f < flow_count; ++f) {
+    first_hop[f] = hops.size();
+    for (const ChannelId c : design.routes.RouteOf(FlowId(f))) {
+      const Channel& channel = topology.ChannelAt(c);
+      hops.push_back(std::uint64_t{channel.link.value()} << 32 | channel.vc);
+    }
+  }
+  first_hop[flow_count] = hops.size();
+
+  // Canonical flow order: ascending (src, dst, bandwidth, route).
+  std::vector<std::size_t> order(flow_count);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    const Flow& fa = traffic.FlowAt(FlowId(a));
+    const Flow& fb = traffic.FlowAt(FlowId(b));
+    if (fa.src != fb.src) {
+      return fa.src.value() < fb.src.value();
+    }
+    if (fa.dst != fb.dst) {
+      return fa.dst.value() < fb.dst.value();
+    }
+    if (fa.bandwidth_mbps != fb.bandwidth_mbps) {
+      return fa.bandwidth_mbps < fb.bandwidth_mbps;
+    }
+    return std::lexicographical_compare(
+        hops.begin() + first_hop[a], hops.begin() + first_hop[a + 1],
+        hops.begin() + first_hop[b], hops.begin() + first_hop[b + 1]);
+  });
+
+  // Build the design the text describes: names and bandwidths as the
+  // text reads them back, links with their VCs appended in place (so
+  // channel ids come out link-major), flows in canonical order.
+  CanonicalDesign out;
+  NocDesign& canonical = out.design;
+  const std::string_view name =
+      design.name.empty() ? std::string_view("unnamed") : design.name;
+  Require(name.find('\n') == std::string_view::npos &&
+              !TextToken(name).empty(),
+          [&] {
+            return "CanonicalizeDesign: design name \"" + design.name +
+                   "\" has no text token";
+          });
+  canonical.name = TextToken(name);
+
+  NameCheck switch_names("switch");
+  for (std::size_t s = 0; s < topology.SwitchCount(); ++s) {
+    const std::string& switch_name = topology.SwitchName(SwitchId(s));
+    switch_names.Add(switch_name);
+    canonical.topology.AddSwitch(switch_name);
+  }
+  for (std::size_t l = 0; l < topology.LinkCount(); ++l) {
+    const Link& link = topology.LinkAt(LinkId(l));
+    const LinkId added = canonical.topology.AddLink(link.src, link.dst);
+    for (std::size_t vc = 1; vc < topology.VcCount(LinkId(l)); ++vc) {
+      canonical.topology.AddVirtualChannel(added);
+    }
+  }
+  NameCheck core_names("core");
+  for (std::size_t c = 0; c < traffic.CoreCount(); ++c) {
+    const std::string& core_name = traffic.CoreName(CoreId(c));
+    core_names.Add(core_name);
+    canonical.traffic.AddCore(core_name);
+    canonical.attachment.push_back(design.SwitchOf(CoreId(c)));
+  }
+
+  const std::vector<std::uint32_t> ids = CanonicalChannelIds(topology);
+  canonical.routes.Resize(flow_count);
+  for (const std::size_t original : order) {
+    const Flow& flow = traffic.FlowAt(FlowId(original));
+    const FlowId f = canonical.traffic.AddFlow(
+        flow.src, flow.dst, CanonicalBandwidth(flow.bandwidth_mbps));
+    const Route& source = design.routes.RouteOf(FlowId(original));
+    Route& route = canonical.routes.MutableRouteOf(f);
+    route.reserve(source.size());
+    for (const ChannelId c : source) {
+      route.emplace_back(ids[c.value()]);
+    }
+  }
+  canonical.Validate();
+  AppendDesignText(out.text, canonical);
+  return out;
 }
 
 void DigestRemovalOptions(std::uint64_t& h, const RemovalOptions& options) {

@@ -14,11 +14,17 @@
 //   * IoCanonicalize — the text round trip alone. Preserves flow order
 //     (and therefore round-robin arbitration order), which is what a
 //     simulation repro must keep. Hoisted from valid/shrink.
-//   * CanonicalizeDesign — the round trip plus a canonical flow sort.
-//     Certification (CDG acyclicity, the topological-order certificate)
-//     is a property of the route *set*, not the flow declaration order,
-//     so designs differing only in flow order are the same problem and
-//     must digest identically. This is the cache key form.
+//   * CanonicalizeDesign — a canonical flow sort, built directly into
+//     the design a parse of its text would give. Certification (CDG
+//     acyclicity, the topological-order certificate) is a property of
+//     the route *set*, not the flow declaration order, so designs
+//     differing only in flow order are the same problem and must digest
+//     identically. This is the cache key form. It renders the text once
+//     and never parses it: channels are numbered link-major (the
+//     numbering ReadDesign gives) and bandwidths carry the six
+//     significant digits the text keeps. tests/test_canonical.cpp keeps
+//     the former render → parse → re-render fixpoint loop as the oracle
+//     this direct build must match.
 //
 // CanonicalDesignDigest hashes the canonical text together with the
 // semantically relevant removal options, so one primitive defines the
@@ -27,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "deadlock/removal.h"
 #include "noc/design.h"
@@ -46,20 +53,31 @@ NocDesign IoCanonicalize(const NocDesign& design);
 bool IsIoStable(const NocDesign& design);
 
 /// A design in canonical form: flows sorted by (src, dst, bandwidth,
-/// route as link:vc pairs), then rendered and parsed back so channel
-/// numbering is the one any consumer of \p text reconstructs. The sort
-/// never changes the route set, so the certificate of \p design is the
-/// certificate of the original up to flow renaming.
+/// route as link:vc pairs), with the channel numbering and bandwidths
+/// any consumer parsing \p text reconstructs. The sort never changes the
+/// route set, so the certificate of \p design is the certificate of the
+/// original up to flow renaming and channel renumbering.
 struct CanonicalDesign {
   NocDesign design;
   std::string text;
 };
 
-/// Canonicalizes \p design (flow sort + io fixpoint). Deterministic;
-/// idempotent (canonicalizing the result returns identical text).
-/// Throws InvalidModelError if the text rendering fails to reach a
-/// round-trip fixpoint (never observed; guards against io drift).
+/// Canonicalizes \p design (flow sort + direct build). Deterministic;
+/// DesignText(result.design) == result.text, and ReadDesign(result.text)
+/// gives result.design back. Idempotent, except where two flows of one
+/// (src, dst) pair differ in bandwidth only past the sixth significant
+/// digit: the sort reads the unrounded values. Throws InvalidModelError
+/// when the design is invalid or names something the text format
+/// cannot carry: a switch or core name that is not one whitespace- and
+/// '#'-free token, a duplicate name, a design name without a token, or
+/// a non-finite bandwidth.
 CanonicalDesign CanonicalizeDesign(const NocDesign& design);
+
+/// The link-major channel numbering of \p topology: ids[c] is the id
+/// channel c has in CanonicalizeDesign's result (and in any design
+/// ReadDesign parses): channels ordered by (link, vc). Link and switch
+/// ids are unchanged by canonicalization.
+std::vector<std::uint32_t> CanonicalChannelIds(const TopologyGraph& topology);
 
 /// Mixes the semantically relevant removal options into \p h:
 /// cycle_policy, direction_policy, duplication and max_iterations.

@@ -37,26 +37,7 @@ using serve::DiskCache;
 using serve::DiskCacheConfig;
 using serve::TieredCertCache;
 using testing::MakePaperExample;
-
-/// A unique empty directory, removed (with contents) on destruction.
-class TempDir {
- public:
-  TempDir() {
-    std::string tmpl =
-        (fs::temp_directory_path() / "nocdr_disk_cache_XXXXXX").string();
-    const char* made = ::mkdtemp(tmpl.data());
-    EXPECT_NE(made, nullptr);
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testing::TempDir;
 
 DiskCacheConfig SmallConfig(const std::string& dir) {
   DiskCacheConfig config;

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "cdg/cdg.h"
 #include "cdg/incremental.h"
@@ -15,6 +19,7 @@
 #include "synth/route_builder.h"
 #include "test_helpers.h"
 #include "util/error.h"
+#include "valid/campaign.h"
 #include "valid/fault_campaign.h"
 
 namespace nocdr {
@@ -262,23 +267,311 @@ TEST(FaultReconfigureTest, TableDetourPatchesInsteadOfRippingUp) {
 
 TEST(FaultReconfigureTest, TablePatchSurvivesARoutingLoopInTheInput) {
   // A corrupted table whose walk toward C cycles A -> B -> A must be
-  // classified as broken (loop guard), not chased forever; the patch
-  // then invalidates the unroutable entries and the table validates.
+  // classified as broken (loop guard), not chased forever. The patch
+  // repairs only columns a newly failed next hop touches, so D's link
+  // toward C fails to send column C through the repair; it then
+  // invalidates the unroutable entries and the table validates.
   TopologyGraph topology;
   const SwitchId a = topology.AddSwitch("A");
   const SwitchId b = topology.AddSwitch("B");
   const SwitchId c = topology.AddSwitch("C");
+  const SwitchId d = topology.AddSwitch("D");
   const LinkId ab = topology.AddLink(a, b);
   const LinkId ba = topology.AddLink(b, a);
-  NextHopTable looped(3, std::vector<LinkId>(3));
+  const LinkId dc = topology.AddLink(d, c);
+  NextHopTable looped(4, std::vector<LinkId>(4));
   looped[a.value()][c.value()] = ab;
   looped[b.value()][c.value()] = ba;  // the loop: C is never reached
+  looped[d.value()][c.value()] = dc;
+  std::vector<char> failed_links(topology.LinkCount(), 0);
+  failed_links[dc.value()] = 1;
   const std::size_t unroutable =
-      PatchNextHopTable(topology, looped, {}, {});
-  EXPECT_EQ(unroutable, 2u);  // both entries were filled, C has no in-links
+      PatchNextHopTable(topology, looped, failed_links, {});
+  EXPECT_EQ(unroutable, 3u);  // every filled entry; C has no live in-link
   EXPECT_FALSE(looped[a.value()][c.value()].valid());
   EXPECT_FALSE(looped[b.value()][c.value()].valid());
+  EXPECT_FALSE(looped[d.value()][c.value()].valid());
   EXPECT_NO_THROW(ValidateNextHopTable(topology, looped));
+}
+
+// ------------------------------------------------- table patch oracle
+//
+// PatchNextHopTable as it was before it became incremental: every
+// destination column is walked from every source after every burst.
+// The incremental patch must leave the same table and report the same
+// number of disconnected pairs.
+
+bool OracleLinkDown(const TopologyGraph& topology, LinkId l,
+                    const std::vector<char>& failed_links,
+                    const std::vector<char>& failed_switches) {
+  if (!failed_links.empty() && failed_links[l.value()]) {
+    return true;
+  }
+  if (failed_switches.empty()) {
+    return false;
+  }
+  const Link& link = topology.LinkAt(l);
+  return failed_switches[link.src.value()] ||
+         failed_switches[link.dst.value()];
+}
+
+bool OracleSwitchDown(SwitchId s, const std::vector<char>& failed_switches) {
+  return !failed_switches.empty() && failed_switches[s.value()];
+}
+
+std::size_t FullScanPatch(const TopologyGraph& topology, NextHopTable& table,
+                          const std::vector<char>& failed_links,
+                          const std::vector<char>& failed_switches) {
+  const std::size_t n = topology.SwitchCount();
+  std::size_t disconnected = 0;
+  std::vector<std::uint8_t> status(n);
+  std::vector<std::uint32_t> dist(n);
+  std::vector<LinkId> via(n);
+  std::vector<std::uint32_t> queue;
+  std::vector<std::uint32_t> chain;
+  constexpr std::uint32_t kUnreached =
+      std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t d = 0; d < n; ++d) {
+    if (OracleSwitchDown(SwitchId(d), failed_switches)) {
+      for (std::size_t s = 0; s < n; ++s) {
+        table[s][d] = LinkId();
+      }
+      continue;
+    }
+    std::fill(status.begin(), status.end(), std::uint8_t{0});
+    status[d] = 1;
+    bool any_broken = false;
+    for (std::size_t s = 0; s < n; ++s) {
+      if (status[s] != 0 || !table[s][d].valid()) {
+        continue;
+      }
+      chain.clear();
+      std::size_t cur = s;
+      std::uint8_t verdict = 0;
+      while (verdict == 0) {
+        if (status[cur] != 0) {
+          verdict = status[cur];
+          break;
+        }
+        chain.push_back(static_cast<std::uint32_t>(cur));
+        if (chain.size() > n) {
+          verdict = 2;
+          break;
+        }
+        if (OracleSwitchDown(SwitchId(cur), failed_switches)) {
+          verdict = 2;
+          break;
+        }
+        const LinkId l = table[cur][d];
+        if (!l.valid() ||
+            OracleLinkDown(topology, l, failed_links, failed_switches)) {
+          verdict = 2;
+          break;
+        }
+        cur = topology.LinkAt(l).dst.value();
+      }
+      for (const std::uint32_t v : chain) {
+        status[v] = verdict;
+      }
+      any_broken = any_broken || verdict == 2;
+    }
+    if (!any_broken) {
+      continue;
+    }
+    std::fill(dist.begin(), dist.end(), kUnreached);
+    for (std::size_t s = 0; s < n; ++s) {
+      via[s] = LinkId();
+    }
+    dist[d] = 0;
+    queue.assign(1, static_cast<std::uint32_t>(d));
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const SwitchId v(queue[head]);
+      for (const LinkId l : topology.InLinks(v)) {
+        if (OracleLinkDown(topology, l, failed_links, failed_switches)) {
+          continue;
+        }
+        const std::size_t u = topology.LinkAt(l).src.value();
+        if (dist[u] != kUnreached) {
+          continue;
+        }
+        dist[u] = dist[v.value()] + 1;
+        via[u] = l;
+        queue.push_back(static_cast<std::uint32_t>(u));
+      }
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      if (s == d || status[s] != 2) {
+        continue;
+      }
+      if (OracleSwitchDown(SwitchId(s), failed_switches)) {
+        table[s][d] = LinkId();
+        continue;
+      }
+      if (dist[s] == kUnreached) {
+        table[s][d] = LinkId();
+        ++disconnected;
+        continue;
+      }
+      table[s][d] = via[s];
+    }
+  }
+  return disconnected;
+}
+
+/// Small designs of every table-routed family: the generators' four and
+/// the campaign's four generated sources.
+std::vector<std::pair<NocDesign, NextHopTable>> TableRoutedDesigns() {
+  std::vector<std::pair<NocDesign, NextHopTable>> designs;
+  for (const gen::TopologyFamily family : gen::AllFamilies()) {
+    gen::GeneratorSpec spec;
+    spec.family = family;
+    spec.width = 5;
+    spec.height = 4;
+    spec.ring_nodes = 9;
+    spec.seed = 4;
+    NextHopTable table;
+    NocDesign design = gen::GenerateStandardDesign(spec, &table);
+    designs.emplace_back(std::move(design), std::move(table));
+  }
+  valid::DesignEnvelope envelope;
+  envelope.min_cores = 8;
+  envelope.max_cores = 16;
+  for (const valid::DesignSource source : valid::AllSources()) {
+    NextHopTable table;
+    NocDesign design = valid::GenerateTrialDesign(source, 6, envelope, &table);
+    if (!table.empty()) {
+      designs.emplace_back(std::move(design), std::move(table));
+    }
+  }
+  return designs;
+}
+
+/// A table-routed grid with cores on every other switch only: the
+/// core-free switches are transit switches a feasible burst can kill.
+std::pair<NocDesign, NextHopTable> SparseCoreGrid(gen::TopologyFamily family) {
+  gen::GeneratorSpec spec;
+  spec.family = family;
+  spec.width = 5;
+  spec.height = 4;
+  gen::GeneratedTopology generated = gen::BuildFamilyTopology(spec);
+  NocDesign design;
+  design.name = gen::FamilyName(family) + "_sparse";
+  design.topology = std::move(generated.topology);
+  std::vector<CoreId> cores;
+  for (std::size_t s = 0; s < design.topology.SwitchCount(); s += 2) {
+    cores.push_back(design.traffic.AddCore("c" + std::to_string(s)));
+    design.attachment.emplace_back(s);
+  }
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    for (const std::size_t hop : {std::size_t{3}, cores.size() / 2}) {
+      design.traffic.AddFlow(cores[i], cores[(i + hop) % cores.size()],
+                             10.0 + static_cast<double>(i));
+    }
+  }
+  design.routes = BuildTableRoutes(design.topology, design.traffic,
+                                   design.attachment, generated.table);
+  design.Validate();
+  return {std::move(design), std::move(generated.table)};
+}
+
+TEST(TablePatchOracleTest, BurstsThroughTheFaultPipelineMatchTheFullScan) {
+  std::size_t bursts_applied = 0;
+  std::size_t switch_faults = 0;
+  auto designs = TableRoutedDesigns();
+  designs.push_back(SparseCoreGrid(gen::TopologyFamily::kMesh2D));
+  designs.push_back(SparseCoreGrid(gen::TopologyFamily::kTorus2D));
+  for (auto& [generated, generated_table] : designs) {
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      NocDesign design = generated;
+      RemoveDeadlocks(design);
+      NextHopTable table = generated_table;
+      NextHopTable oracle = generated_table;
+      ChannelDependencyGraph cdg = ChannelDependencyGraph::Build(design);
+      DirtyCycleFinder finder(cdg);
+      FaultState state = FaultState::None(design);
+      FaultPlanOptions plan_options;
+      plan_options.bursts = 5;
+      plan_options.switch_fault_probability = 0.4;
+      plan_options.disconnect_tolerance = 0.5;
+      const FaultPlan plan = fault::DrawFaultPlan(design, seed, plan_options);
+      fault::ReconfigureOptions options;
+      options.table = &table;
+      for (std::size_t b = 0; b < plan.bursts.size(); ++b) {
+        const fault::ReconfigureReport report = fault::ApplyFaultBurst(
+            design, cdg, finder, state, plan.bursts[b], options);
+        if (report.infeasible()) {
+          continue;  // nothing was patched
+        }
+        ++bursts_applied;
+        const std::size_t expected = FullScanPatch(
+            design.topology, oracle, state.failed_links,
+            state.failed_switches);
+        ASSERT_EQ(report.table_pairs_disconnected, expected)
+            << design.name << " seed " << seed << " burst " << b;
+        ASSERT_EQ(table, oracle)
+            << design.name << " seed " << seed << " burst " << b;
+        for (const FaultEvent& event : plan.bursts[b]) {
+          switch_faults += event.kind == FaultKind::kSwitch ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(bursts_applied, 40u);
+  EXPECT_GT(switch_faults, 0u);
+}
+
+TEST(TablePatchOracleTest, SwitchAndLinkMaskSequencesMatchTheFullScan) {
+  // Plans that may kill attachment switches too, applied to the masks
+  // directly: the table patch itself never needs a burst to be feasible.
+  // Each plan runs twice: on FaultState masks, where a switch failure
+  // also sets its links' entries, and on raw masks, where it does not
+  // and the patch must see those links as down through the switch.
+  std::size_t switch_faults = 0;
+  std::size_t pairs_disconnected = 0;
+  for (auto& [design, generated_table] : TableRoutedDesigns()) {
+    for (const std::uint64_t seed : {5ull, 6ull, 7ull, 8ull}) {
+      FaultPlanOptions plan_options;
+      plan_options.bursts = 6;
+      plan_options.switch_fault_probability = 0.5;
+      plan_options.spare_attachment_switches = false;
+      plan_options.disconnect_tolerance = 1.0;
+      const FaultPlan plan = fault::DrawFaultPlan(design, seed, plan_options);
+      for (const bool fan_out : {true, false}) {
+        NextHopTable table = generated_table;
+        NextHopTable oracle = generated_table;
+        FaultState state = FaultState::None(design);
+        for (std::size_t b = 0; b < plan.bursts.size(); ++b) {
+          const FaultState previous = state;
+          if (fan_out) {
+            state.Apply(design, plan.bursts[b]);
+          }
+          for (const FaultEvent& event : plan.bursts[b]) {
+            const bool dead_switch = event.kind == FaultKind::kSwitch;
+            switch_faults += dead_switch ? 1 : 0;
+            if (!fan_out && dead_switch) {
+              state.failed_switches[event.switch_id.value()] = 1;
+            } else if (!fan_out) {
+              state.failed_links[event.link.value()] = 1;
+            }
+          }
+          const std::size_t got = PatchNextHopTable(
+              design.topology, table, state.failed_links,
+              state.failed_switches, previous.failed_links,
+              previous.failed_switches);
+          const std::size_t expected = FullScanPatch(
+              design.topology, oracle, state.failed_links,
+              state.failed_switches);
+          ASSERT_EQ(got, expected) << design.name << " seed " << seed
+                                   << " burst " << b << " fan-out " << fan_out;
+          ASSERT_EQ(table, oracle) << design.name << " seed " << seed
+                                   << " burst " << b << " fan-out " << fan_out;
+          pairs_disconnected += expected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(switch_faults, 10u);
+  EXPECT_GT(pairs_disconnected, 0u);
 }
 
 TEST(DirtyCycleFinderTest, ExternalEdgeTaintRestoresExactness) {

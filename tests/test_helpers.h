@@ -2,7 +2,12 @@
 // parameterizable synthetic designs used across the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <stdlib.h>
+
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "noc/design.h"
@@ -115,5 +120,29 @@ inline NocDesign MakeRingDesign(std::size_t n, std::size_t hop_span = 2) {
 /// path. Deterministic in \p seed. Used by the property suites.
 NocDesign MakeRandomDesign(std::uint64_t seed, std::size_t switches = 8,
                            std::size_t cores = 12, std::size_t flows = 20);
+
+/// A unique empty directory, removed (with contents) on destruction.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "nocdr_test_XXXXXX")
+            .string();
+    const char* made = ::mkdtemp(tmpl.data());
+    EXPECT_NE(made, nullptr);
+    path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace nocdr::testing

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 
 namespace nocdr {
@@ -92,6 +94,44 @@ TEST_F(RoutingTest, ResizeGrows) {
   EXPECT_EQ(rs.FlowCount(), 0u);
   rs.Resize(3);
   EXPECT_EQ(rs.FlowCount(), 3u);
+}
+
+/// The message ValidateRoute throws for \p route, or "" when it passes.
+std::string RouteError(const TopologyGraph& topo, const Route& route) {
+  try {
+    const SwitchId src = topo.LinkAt(topo.ChannelAt(route.front()).link).src;
+    ValidateRoute(topo, route, src, SwitchId(0u), "t");
+  } catch (const InvalidModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(RoutingTest, FirstBadHopNamesTheErrorOnShortAndLongRoutes) {
+  const std::string repeats = "t: route repeats a channel (routing loop)";
+  const std::string unknown = "t: route references unknown channel";
+  const ChannelId bogus(999u);
+  EXPECT_EQ(RouteError(topo_, {cab_, cbc_, cab_, bogus}), repeats);
+  EXPECT_EQ(RouteError(topo_, {cab_, cbc_, bogus, cab_}), unknown);
+  EXPECT_EQ(RouteError(topo_, {cab_, bogus, bogus}), unknown);
+
+  // Past the quadratic scan's length: 40 distinct VCs of one link.
+  Route distinct;
+  distinct.push_back(cab_);
+  while (distinct.size() < 40) {
+    distinct.push_back(topo_.AddVirtualChannel(ab_));
+  }
+  Route repeat_first = distinct;
+  repeat_first.push_back(distinct[5]);
+  repeat_first.push_back(bogus);
+  EXPECT_EQ(RouteError(topo_, repeat_first), repeats);
+  Route unknown_first = distinct;
+  unknown_first.push_back(bogus);
+  unknown_first.push_back(distinct[5]);
+  EXPECT_EQ(RouteError(topo_, unknown_first), unknown);
+  Route late_repeat = distinct;
+  late_repeat.push_back(distinct.back());
+  EXPECT_EQ(RouteError(topo_, late_repeat), repeats);
 }
 
 }  // namespace

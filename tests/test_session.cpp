@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "deadlock/verify.h"
+#include "fault/plan.h"
 #include "gen/generators.h"
 #include "noc/io.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/session.h"
@@ -38,6 +41,7 @@ using serve::SessionResponse;
 using serve::SessionService;
 using serve::SessionServiceConfig;
 using testing::MakeRingDesign;
+using testing::TempDir;
 
 NocDesign Reparse(const std::string& text) {
   std::istringstream stream(text);
@@ -486,6 +490,189 @@ TEST(SessionServiceTest, EveryEpochIsServableAndNeverStale) {
   EXPECT_EQ(old_reply.key, open.key);
   EXPECT_EQ(old_reply.certificate_json, open.certificate_json);
   EXPECT_NE(old_reply.key, warm.key);
+}
+
+// ---------------------------------------------------------------------
+// Publishing from the live proof
+// ---------------------------------------------------------------------
+
+/// \p burst as protocol events naming \p design's switches.
+std::vector<SessionEventSpec> EventSpecs(const NocDesign& design,
+                                         const fault::FaultBurst& burst) {
+  std::vector<SessionEventSpec> events;
+  for (const fault::FaultEvent& event : burst) {
+    if (event.kind == fault::FaultKind::kLink) {
+      events.push_back(LinkEvent(design, event.link));
+    } else {
+      SessionEventSpec spec;
+      spec.kind = fault::FaultKind::kSwitch;
+      spec.switch_name = design.topology.SwitchName(event.switch_id);
+      events.push_back(spec);
+    }
+  }
+  return events;
+}
+
+void ExpectSameCachedValue(const serve::CachedCertification& got,
+                           const serve::CachedCertification& want) {
+  EXPECT_EQ(got.certificate_json, want.certificate_json);
+  EXPECT_EQ(got.treated_design_text, want.treated_design_text);
+  EXPECT_EQ(got.deadlock_free, want.deadlock_free);
+  EXPECT_EQ(got.initially_deadlock_free, want.initially_deadlock_free);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.vcs_added, want.vcs_added);
+  EXPECT_EQ(got.flows_rerouted, want.flows_rerouted);
+  EXPECT_EQ(got.channels_before, want.channels_before);
+  EXPECT_EQ(got.channels_after, want.channels_after);
+}
+
+TEST(SessionPublishTest, PublishedEpochsEqualAFromScratchComputation) {
+  TempDir dir;
+  ServiceConfig config;
+  config.threads = 1;
+  config.cache_dir = dir.path();
+  gen::GeneratorSpec spec;
+  spec.family = gen::TopologyFamily::kTorus2D;
+  spec.width = 6;
+  spec.height = 5;
+  spec.uniform_fanout = 4;
+  spec.seed = 3;
+  SessionRequest open_request;
+  open_request.op = SessionOp::kOpen;
+  open_request.spec.kind = RequestKind::kGeneratorSpec;
+  open_request.spec.generator = spec;
+  open_request.return_design = true;
+
+  CertRequest publish_request;
+  publish_request.treat = true;
+  // Every distinct key the service stores: the open's treatment of the
+  // generated design, then each published epoch.
+  std::set<std::uint64_t> keys = {CanonicalDesignDigest(
+      gen::GenerateStandardDesign(spec), publish_request.options)};
+  std::string last_text;
+  std::string last_certificate;
+  std::uint64_t last_key = 0;
+  {
+    CertificationService service(config);
+    SessionService sessions(service);
+    // Two sessions of one design stream the same bursts, so each epoch
+    // is published twice; the second publish must find the first.
+    const SessionResponse first = sessions.Handle(open_request);
+    const SessionResponse second = sessions.Handle(open_request);
+    ASSERT_EQ(first.status, ServeStatus::kOk) << first.error.message;
+    ASSERT_EQ(second.status, ServeStatus::kOk) << second.error.message;
+    EXPECT_EQ(first.key, second.key);
+    EXPECT_EQ(first.certificate_json, second.certificate_json);
+
+    const auto expect_published = [&](const SessionResponse& reply) {
+      const CanonicalDesign canonical =
+          CanonicalizeDesign(Reparse(reply.design_text));
+      const CertificationService::Published published = service.Publish(
+          canonical.text, publish_request, [] {
+            ADD_FAILURE() << "the epoch was not published";
+            return serve::CachedCertification{};
+          });
+      EXPECT_EQ(published.key, reply.key);
+      EXPECT_EQ(published.value->certificate_json, reply.certificate_json);
+      ExpectSameCachedValue(
+          *published.value,
+          serve::ComputeCertification(canonical.design, publish_request));
+      keys.insert(reply.key);
+      last_text = reply.design_text;
+      last_certificate = reply.certificate_json;
+      last_key = reply.key;
+    };
+    expect_published(first);
+
+    const NocDesign epoch0 = Reparse(first.design_text);
+    fault::FaultPlanOptions plan_options;
+    plan_options.bursts = 5;
+    const fault::FaultPlan plan = fault::DrawFaultPlan(epoch0, 8, plan_options);
+    std::uint64_t epoch = 0;
+    std::size_t feasible = 0;
+    for (const fault::FaultBurst& burst : plan.bursts) {
+      if (burst.empty()) {
+        continue;
+      }
+      SessionRequest request =
+          BurstOn(first.session_id, EventSpecs(epoch0, burst), epoch);
+      request.return_design = true;
+      const SessionResponse a = sessions.Handle(request);
+      request.session_id = second.session_id;
+      const SessionResponse b = sessions.Handle(request);
+      ASSERT_EQ(a.status, ServeStatus::kOk) << a.error.message;
+      ASSERT_EQ(b.status, ServeStatus::kOk) << b.error.message;
+      ASSERT_EQ(a.feasible, b.feasible);
+      if (!a.feasible) {
+        continue;
+      }
+      ++feasible;
+      epoch = a.epoch;
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.certificate_json, b.certificate_json);
+      expect_published(a);
+    }
+    EXPECT_GT(feasible, 1u);
+    // One disk record per distinct key: the second session's publishes
+    // all found the first session's entries.
+    const serve::ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.disk.insertions, keys.size());
+    EXPECT_EQ(stats.disk.entries, keys.size());
+  }
+
+  // A restarted service over the same directory: a stateless serve of
+  // the last epoch's text is a disk hit with the session's certificate.
+  CertificationService restarted(config);
+  CertRequest stateless;
+  stateless.kind = RequestKind::kDesignText;
+  stateless.design_text = last_text;
+  const CertResponse warm = restarted.Serve(stateless);
+  ASSERT_EQ(warm.status, ServeStatus::kOk) << warm.error.message;
+  EXPECT_EQ(warm.cache_outcome, CacheOutcome::kHit);
+  EXPECT_EQ(warm.key, last_key);
+  EXPECT_EQ(warm.certificate_json, last_certificate);
+  EXPECT_EQ(restarted.Stats().disk.hits, 1u);
+}
+
+TEST(SessionPublishTest, PublishesAreNotRequests) {
+  const auto publish_count = [] {
+    for (const auto& [name, snapshot] : obs::Metrics().Snapshot().histograms) {
+      if (name == "session.publish_us") {
+        return snapshot.count;
+      }
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t publishes_before = publish_count();
+  Stack stack;
+  const SessionResponse open =
+      stack.sessions.Handle(OpenText(MakeRingDesign(8)));
+  ASSERT_EQ(open.status, ServeStatus::kOk) << open.error.message;
+  const NocDesign design = Reparse(open.design_text);
+  std::uint64_t epoch = 0;
+  for (const std::size_t link : {std::size_t{1}, std::size_t{4}}) {
+    const SessionResponse reply = stack.sessions.Handle(
+        BurstOn(open.session_id, {LinkEvent(design, LinkId(link))}, epoch));
+    ASSERT_EQ(reply.status, ServeStatus::kOk) << reply.error.message;
+    epoch = reply.epoch;
+  }
+  EXPECT_EQ(stack.sessions.Handle(SnapshotOf(open.session_id)).status,
+            ServeStatus::kOk);
+  EXPECT_EQ(stack.sessions.Handle(CloseOf(open.session_id)).status,
+            ServeStatus::kOk);
+  CertRequest stateless;
+  stateless.kind = RequestKind::kDesignText;
+  stateless.design_text = open.design_text;
+  EXPECT_EQ(stack.service.Serve(stateless).cache_outcome, CacheOutcome::kHit);
+
+  // Two requests: the open's treatment and the stateless serve. The
+  // open's and the bursts' publishes are not requests.
+  const serve::ServiceStats stats = stack.service.Stats();
+  EXPECT_EQ(stats.requests, stats.hits + stats.computations + stats.coalesced +
+                                stats.rejected + stats.errors);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.computations, 1u);
+  EXPECT_EQ(publish_count() - publishes_before, 1 + epoch);
 }
 
 // ---------------------------------------------------------------------

@@ -3,9 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "cdg/cdg.h"
 #include "deadlock/removal.h"
 #include "deadlock/resource_ordering.h"
+#include "gen/generators.h"
 #include "test_helpers.h"
+#include "util/canonical.h"
+#include "util/error.h"
+#include "valid/campaign.h"
 
 namespace nocdr {
 namespace {
@@ -171,6 +180,62 @@ TEST(VerifyAdversarialTest, OutOfRangeAndInvalidIdsAreRejected) {
   mutated = fixture.certificate;
   mutated.topological_order.front() = ChannelId();
   EXPECT_FALSE(CheckCertificate(fixture.design, mutated));
+}
+
+TEST(VerifyRenumberedTest, CanonicalOrderEqualsCertifyOnTheCanonicalDesign) {
+  // Treated designs carry appended VCs, so their channel ids are not
+  // link-major; Kahn's order taken in canonical ids on the design's own
+  // graph must be the canonical design's certificate, id for id.
+  std::vector<NocDesign> designs;
+  for (const gen::TopologyFamily family :
+       {gen::TopologyFamily::kTorus2D, gen::TopologyFamily::kRing}) {
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      gen::GeneratorSpec spec;
+      spec.family = family;
+      spec.width = 6;
+      spec.height = 5;
+      spec.ring_nodes = 12;
+      spec.uniform_fanout = 4;
+      spec.seed = seed;
+      designs.push_back(gen::GenerateStandardDesign(spec));
+    }
+  }
+  valid::DesignEnvelope envelope;
+  envelope.min_cores = 8;
+  envelope.max_cores = 16;
+  for (const valid::DesignSource source : valid::AllSources()) {
+    designs.push_back(valid::GenerateTrialDesign(source, 4, envelope));
+  }
+  std::size_t renumbered = 0;
+  for (NocDesign& design : designs) {
+    RemoveDeadlocks(design);
+    const std::vector<std::uint32_t> ids =
+        CanonicalChannelIds(design.topology);
+    for (std::size_t c = 0; c < ids.size(); ++c) {
+      renumbered += ids[c] != c ? 1 : 0;
+    }
+    const auto order =
+        TopologicalOrder(ChannelDependencyGraph::Build(design), ids);
+    ASSERT_TRUE(order.has_value()) << design.name;
+    const DeadlockCertificate expected =
+        CertifyDeadlockFreedom(CanonicalizeDesign(design).design);
+    ASSERT_TRUE(expected.deadlock_free) << design.name;
+    EXPECT_EQ(*order, expected.topological_order) << design.name;
+    // Without a renumbering it is CertifyFromCdg's order.
+    EXPECT_EQ(*TopologicalOrder(ChannelDependencyGraph::Build(design)),
+              CertifyDeadlockFreedom(design).topological_order)
+        << design.name;
+  }
+  EXPECT_GT(renumbered, 100u);
+}
+
+TEST(VerifyRenumberedTest, CyclesAndBadRenumberingsAreReported) {
+  const auto ex = testing::MakePaperExample();
+  const ChannelDependencyGraph cdg = ChannelDependencyGraph::Build(ex.design);
+  EXPECT_FALSE(TopologicalOrder(cdg).has_value());
+  EXPECT_FALSE(TopologicalOrder(cdg, {3, 2, 1, 0}).has_value());
+  EXPECT_THROW((void)TopologicalOrder(cdg, {0, 1, 2}), InvalidModelError);
+  EXPECT_THROW((void)TopologicalOrder(cdg, {0, 1, 1, 2}), InvalidModelError);
 }
 
 TEST(VerifyJsonTest, PassingCertificateSurvivesRoundTrip) {
